@@ -95,14 +95,18 @@ def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
     return trivial, coexistence
 
 
-def reaction_rhs(s: State, p: ModelParams) -> State:
-    """Time derivative of (f, v, w) under the reaction terms alone."""
-    f, v, w = s
-    return State(
+def _reaction_terms(p: ModelParams, f, v, w):
+    """(f', v', w') under the reaction terms alone, for floats or equal-shape arrays f, v, w."""
+    return (
         f * (p.alpha * v - p.beta * w),
         v * (p.zeta * w - p.eta * f),
         p.gamma - p.delta * v * w - p.epsilon * w,
     )
+
+
+def reaction_rhs(s: State, p: ModelParams) -> State:
+    """Time derivative of (f, v, w) under the reaction terms alone."""
+    return State(*_reaction_terms(p, *s))
 
 
 def jacobian(s: State, p: ModelParams) -> np.ndarray:

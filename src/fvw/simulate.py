@@ -7,13 +7,15 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CFLViolation, CFLWarning, StepFailure, ValidationError
-from .model import ModelParams, State, coexistence_state, reaction_rhs
+from .model import ModelParams, State, _reaction_terms, coexistence_state
+from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 from .stability import mode_matrix
 
 NEGATIVITY_TOL = -1e-9
@@ -57,40 +59,42 @@ class Trajectory:
                 writer.writerow([f"{x:.17g}" for x in (t, f, v, w)])
 
 
-def _rhs_array(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    return np.asarray(reaction_rhs(State(*y), p))
+def _rk4_step(rhs, y, h):
+    """One classical RK4 step of y' = rhs(*y) for a 3-tuple y of floats or equal-shape arrays."""
+    f, v, w = y
+    a, b = 0.5 * h, h / 6.0
+    k1f, k1v, k1w = rhs(f, v, w)
+    k2f, k2v, k2w = rhs(f + a * k1f, v + a * k1v, w + a * k1w)
+    k3f, k3v, k3w = rhs(f + a * k2f, v + a * k2v, w + a * k2w)
+    k4f, k4v, k4w = rhs(f + h * k3f, v + h * k3v, w + h * k3w)
+    return (
+        f + b * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
+        v + b * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+        w + b * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
+    )
 
 
 def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reaction ODE system from s0 up to cfg.t_final."""
-    y0 = np.asarray(s0, dtype=float)
+    """Integrate the reaction ODE system from s0 up to cfg.t_final; a non-finite state raises StepFailure."""
     if cfg.method == "rk4":
         n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
         dt = cfg.t_final / n_steps
         times = np.linspace(0.0, cfg.t_final, n_steps + 1)
-        states = np.empty((n_steps + 1, 3))
-        states[0] = y0
-        y = y0
-        for i in range(n_steps):
-            k1 = _rhs_array(y, p)
-            k2 = _rhs_array(y + 0.5 * dt * k1, p)
-            k3 = _rhs_array(y + 0.5 * dt * k2, p)
-            k4 = _rhs_array(y + dt * k3, p)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i + 1] = y
+        rhs = partial(_reaction_terms, p)
+        rows = [tuple(map(float, s0))]
+        for _ in range(n_steps):
+            rows.append(_rk4_step(rhs, rows[-1], dt))
+        states = np.array(rows)
     else:
-        sol = solve_ivp(
-            lambda t, y: _rhs_array(y, p),
-            (0.0, cfg.t_final),
-            y0,
-            method="RK45",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-        )
+        sol = solve_ivp(lambda t, y: np.array(_reaction_terms(p, *y)), (0.0, cfg.t_final),
+                        np.asarray(s0, dtype=float), method="RK45", rtol=cfg.rtol, atol=cfg.atol)
         if not sol.success:
             raise StepFailure(f"adaptive integration failed: {sol.message}")
         times = sol.t
         states = sol.y.T
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise StepFailure(f"state became non-finite at t={times[finite.argmin()]:.17g}")
     return Trajectory(times, states, negativity_flag=bool(states.min() < NEGATIVITY_TOL))
 
 
@@ -122,11 +126,7 @@ class FieldState:
         return np.arange(self.grid_points) * (self.domain_length / self.grid_points)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "f", "v", "w"])
-            for x, f, v, w in zip(self.x, self.f, self.v, self.w):
-                writer.writerow([f"{val:.17g}" for val in (self.time, x, f, v, w)])
+        write_snapshots_csv([self], path)
 
 
 def uniform_field(s: State, n: int, domain_length: float) -> FieldState:
@@ -166,7 +166,8 @@ def single_mode_field(
 
 
 def _periodic_laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(u, 1) + np.roll(u, -1) - 2.0 * u) / (h * h)
+    padded = np.concatenate((u[-1:], u, u[:1]))
+    return (padded[:-2] + padded[2:] - 2.0 * u) / (h * h)
 
 
 def cfl_bound(h: float, p: ModelParams) -> float:
@@ -188,6 +189,7 @@ def simulate_pde(
 
     The time step is clamped to the diffusion CFL bound (with a CFLWarning)
     unless clamp=False, in which case violating the bound raises CFLViolation.
+    The first snapshot with a non-finite field raises StepFailure.
     """
     if p.ell != 0.0:
         raise ValidationError("the nonlinear competition PDE (ell != 0) is not simulated")
@@ -206,18 +208,13 @@ def simulate_pde(
         warnings.warn(f"dt clamped from {dt} to CFL bound {bound:.6g}", CFLWarning)
         dt = bound
 
-    f, v, w = field0.f.copy(), field0.v.copy(), field0.w.copy()
-
-    def rhs(y):
-        f_, v_, w_ = y
-        df = f_ * (p.alpha * v_ - p.beta * w_) + p.c * _periodic_laplacian(f_, h)
-        dv = v_ * (p.zeta * w_ - p.eta * f_)
-        dw = p.gamma - p.delta * v_ * w_ - p.epsilon * w_ + p.d * _periodic_laplacian(w_, h)
-        return np.array([df, dv, dw])
+    def rhs(f, v, w):
+        df, dv, dw = _reaction_terms(p, f, v, w)
+        return df + p.c * _periodic_laplacian(f, h), dv, dw + p.d * _periodic_laplacian(w, h)
 
     snapshots = []
     t = field0.time
-    y = np.array([f, v, w])
+    y = (field0.f, field0.v, field0.w)
     for target in times:
         if target < t:
             raise ValidationError("snapshot times must not precede the initial time")
@@ -225,15 +222,11 @@ def simulate_pde(
         n_steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         step = span / n_steps if n_steps else 0.0
         for _ in range(n_steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * step * k1)
-            k3 = rhs(y + 0.5 * step * k2)
-            k4 = rhs(y + step * k3)
-            y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = _rk4_step(rhs, y, step)
         t = target
-        snapshots.append(
-            FieldState(field0.domain_length, y[0].copy(), y[1].copy(), y[2].copy(), time=t)
-        )
+        if not all(np.isfinite(u).all() for u in y):
+            raise StepFailure(f"fields became non-finite by the snapshot at t={t:.17g}")
+        snapshots.append(FieldState(field0.domain_length, *(u.copy() for u in y), time=t))
     return snapshots
 
 

@@ -129,6 +129,23 @@ class TestSimulateCommands:
         assert header == ["t", "x", "f", "v", "w"]
         assert len(rows) == 3 * 32  # initial field plus two snapshots
 
+    @pytest.mark.parametrize(
+        "argv, when",
+        [
+            (["simulate-ode", "--alpha", "50", "--epsilon", "0.01", "--f0", "5", "--v0", "5",
+              "--w0", "5", "--dt", "0.5", "--t-final", "50"], "t=1.5"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--alpha", "50", "--epsilon", "0.01",
+              "--rho", "0.5", "--t-final", "5", "--grid-points", "64"], "t=1"),
+        ],
+    )
+    def test_blow_up_exit_code(self, tmp_path, capsys, argv, when):
+        out = tmp_path / "blowup.csv"
+        assert main([*argv, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" at {when}\n")
+        assert "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestKernelMomentsCommand:
     def test_gaussian(self, tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from fvw import (
     CFLViolation,
     CFLWarning,
@@ -18,10 +20,100 @@ from fvw import (
     single_mode_field,
     uniform_field,
 )
+from fvw.simulate import write_snapshots_csv
 
 
 def dist_to_equilibrium(traj, eq):
     return np.linalg.norm(traj.states - np.asarray(eq), axis=1)
+
+
+# Reference integrators: the original array-based algorithms (State-boxed RHS,
+# numpy-array RK4, np.roll Laplacian, np.array stacking). The library's
+# tuple-based path performs the same floating-point operations in the same
+# order, so its output must match these bit for bit.
+def reference_rhs(y, p):
+    f, v, w = y
+    return np.asarray(State(
+        f * (p.alpha * v - p.beta * w),
+        v * (p.zeta * w - p.eta * f),
+        p.gamma - p.delta * v * w - p.epsilon * w,
+    ))
+
+
+def reference_integrate_ode(s0, p, cfg):
+    y0 = np.asarray(s0, dtype=float)
+    if cfg.method == "rk45":
+        sol = solve_ivp(lambda t, y: reference_rhs(y, p), (0.0, cfg.t_final), y0,
+                        method="RK45", rtol=cfg.rtol, atol=cfg.atol)
+        return sol.t, sol.y.T
+    n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
+    dt = cfg.t_final / n_steps
+    states = np.empty((n_steps + 1, 3))
+    states[0] = y = y0
+    for i in range(n_steps):
+        k1 = reference_rhs(y, p)
+        k2 = reference_rhs(y + 0.5 * dt * k1, p)
+        k3 = reference_rhs(y + 0.5 * dt * k2, p)
+        k4 = reference_rhs(y + dt * k3, p)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = y
+    return np.linspace(0.0, cfg.t_final, n_steps + 1), states
+
+
+def reference_simulate_pde(field0, p, dt, snapshot_times):
+    h = field0.domain_length / field0.grid_points
+
+    def lap(u):
+        return (np.roll(u, 1) + np.roll(u, -1) - 2.0 * u) / (h * h)
+
+    def rhs(y):
+        f, v, w = y
+        return np.array([
+            f * (p.alpha * v - p.beta * w) + p.c * lap(f),
+            v * (p.zeta * w - p.eta * f),
+            p.gamma - p.delta * v * w - p.epsilon * w + p.d * lap(w),
+        ])
+
+    y, t, out = np.array([field0.f, field0.v, field0.w]), field0.time, []
+    for target in snapshot_times:
+        n_steps = max(1, math.ceil((target - t) / dt))
+        step = (target - t) / n_steps
+        for _ in range(n_steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * step * k1)
+            k3 = rhs(y + 0.5 * step * k2)
+            k4 = rhs(y + step * k3)
+            y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = target
+        out.append(y.copy())
+    return out
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("params", ["ones", "unstable_params"])
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_integrate_ode_matches_reference(self, request, params, method):
+        p = request.getfixturevalue(params)
+        eq = coexistence_state(p)
+        s0 = State(eq.f + 0.07, eq.v - 0.04, eq.w + 0.09)
+        cfg = IntegratorConfig(method=method, dt=0.01, t_final=20.0)
+        traj = integrate_ode(s0, p, cfg)
+        times, states = reference_integrate_ode(s0, p, cfg)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+    def test_simulate_pde_matches_reference(self, unstable_diffusive_params):
+        p = unstable_diffusive_params
+        field0 = single_mode_field(p, 64, 2 * math.pi, 2, 1e-2, (1.0, -0.6, 0.3), (0.4, 0.9, -0.7))
+        snapshot_times = [0.2, 0.45, 0.7]
+        dt = 0.004  # below the CFL bound h^2/2 ~ 4.8e-3, so no clamping
+        snaps = simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=dt), snapshot_times)
+        reference = reference_simulate_pde(field0, p, dt, snapshot_times)
+        assert len(snaps) == len(reference) == 3
+        for snap, ref, t in zip(snaps, reference, snapshot_times):
+            assert snap.time == t
+            for field, ref_field in zip((snap.f, snap.v, snap.w), ref):
+                assert np.array_equal(field, ref_field)
 
 
 class TestIntegrateOde:
@@ -176,6 +268,13 @@ class TestSimulatePde:
     def test_grid_too_small_rejected(self, ones):
         with pytest.raises(ValidationError):
             uniform_field(State(1.0, 1.0, 1.0), 4, 1.0)
+
+    def test_field_csv_matches_snapshots_csv(self, unstable_diffusive_params, tmp_path):
+        snap = single_mode_field(unstable_diffusive_params, 16, 2 * math.pi, 3, 0.1, cos_amplitudes=(0.5, -1.0, 2.0))
+        single, many = tmp_path / "single.csv", tmp_path / "many.csv"
+        snap.write_csv(single)
+        write_snapshots_csv([snap], many)
+        assert single.read_bytes() == many.read_bytes()
 
 
 class TestLinearizedModeSystem:
