@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, model, simulate, stability
+from .simulate import _fmt, _write_csv
 from .errors import (
     CFLViolation,
     DegenerateDiffusion,
@@ -105,20 +105,11 @@ class RunConfig:
         stream.write("[run]\n")
         stream.write(f"command = {self.command}\n\n[params]\n")
         for name in PARAM_DEFAULTS:
-            stream.write(f"{name} = {fmt(getattr(self.params, name))}\n")
+            stream.write(f"{name} = {_fmt(getattr(self.params, name))}\n")
         stream.write("\n[options]\n")
         for name, value in self.options.items():
-            if value is None:
-                continue
-            stream.write(f"{name} = {value if isinstance(value, str) else fmt(value)}\n")
-
-
-def fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % x
+            if value is not None:
+                stream.write(f"{name} = {_fmt(value)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,14 +173,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command, model.ModelParams(**params), options, output)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
-
-
 def _eig_columns(root_set) -> list[float]:
     out = []
     for r in root_set.roots:
@@ -201,8 +184,8 @@ def cmd_equilibria(cfg: RunConfig) -> list[str]:
     e0, e1 = model.equilibria(cfg.params)
     rows = [[eq.label, eq.point.f, eq.point.v, eq.point.w] for eq in (e0, e1)]
     _write_csv(cfg.output, ["label", "f", "v", "w"], rows)
-    return [f"E0=({fmt(e0.point.f)}, {fmt(e0.point.v)}, {fmt(e0.point.w)})",
-            f"E1=({fmt(e1.point.f)}, {fmt(e1.point.v)}, {fmt(e1.point.w)})"]
+    return [f"E0=({_fmt(e0.point.f)}, {_fmt(e0.point.v)}, {_fmt(e0.point.w)})",
+            f"E1=({_fmt(e1.point.f)}, {_fmt(e1.point.v)}, {_fmt(e1.point.w)})"]
 
 
 def cmd_stability(cfg: RunConfig) -> list[str]:
@@ -215,7 +198,7 @@ def cmd_stability(cfg: RunConfig) -> list[str]:
     header = ["equilibrium", "upsilon", "classification",
               "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im"]
     _write_csv(cfg.output, header, rows)
-    return [f"{row[0]}: {row[2]} (Upsilon={fmt(row[1])})" for row in rows]
+    return [f"{row[0]}: {row[2]} (Upsilon={_fmt(row[1])})" for row in rows]
 
 
 def cmd_dispersion(cfg: RunConfig) -> list[str]:
@@ -243,7 +226,7 @@ def cmd_wavetrain(cfg: RunConfig) -> list[str]:
     header = ["mu_star", "k_star", "sigma_star", "decay_eigenvalue",
               "F_re", "F_im", "V_re", "V_im", "W_re", "W_im"]
     _write_csv(cfg.output, header, [row])
-    return [f"mu*={fmt(wt.mu_star)} sigma*={fmt(wt.sigma_star)}"]
+    return [f"mu*={_fmt(wt.mu_star)} sigma*={_fmt(wt.sigma_star)}"]
 
 
 def cmd_competition(cfg: RunConfig) -> list[str]:
@@ -255,7 +238,7 @@ def cmd_competition(cfg: RunConfig) -> list[str]:
     header = ["varsigma", "gamma", "mu", "a2", "a1", "a0", "unstable", "continuation_root",
               "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im"]
     _write_csv(cfg.output, header, [row])
-    return [f"unstable={fmt(spec.unstable)} continuation_root={fmt(spec.continuation_root)}"]
+    return [f"unstable={_fmt(spec.unstable)} continuation_root={_fmt(spec.continuation_root)}"]
 
 
 def cmd_simulate_ode(cfg: RunConfig) -> list[str]:
@@ -272,7 +255,7 @@ def cmd_simulate_ode(cfg: RunConfig) -> list[str]:
     )
     traj = simulate.integrate_ode(s0, cfg.params, icfg)
     traj.write_csv(cfg.output)
-    return [f"{len(traj.times)} steps, negativity={fmt(traj.negativity_flag)}"]
+    return [f"{len(traj.times)} steps, negativity={_fmt(traj.negativity_flag)}"]
 
 
 def cmd_simulate_pde(cfg: RunConfig) -> list[str]:
@@ -326,16 +309,15 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
         kwargs = {name: getattr(cfg.params, name) for name in PARAM_DEFAULTS}
         kwargs[axis] = float(value)
         p = model.ModelParams(**kwargs)
-        ups = stability.upsilon(p)
         verdict = stability.classify_equilibrium("E1", p)
         has_diffusion = p.c > 0 or p.d > 0
         mu_threshold = stability.find_k0(p).mu_threshold if has_diffusion else math.nan
-        if has_diffusion and ups < 0:
+        if has_diffusion and verdict.upsilon < 0:
             wt = stability.find_wavetrain(p)
             mu_star, sigma_star = wt.mu_star, wt.sigma_star
         else:
             mu_star = sigma_star = math.nan
-        rows.append([value, ups, verdict.classification.value, mu_threshold, mu_star, sigma_star])
+        rows.append([value, verdict.upsilon, verdict.classification.value, mu_threshold, mu_star, sigma_star])
     header = [axis, "upsilon", "classification", "mu_threshold", "mu_star", "sigma_star"]
     _write_csv(cfg.output, header, rows)
     signs = [r[1] > 0 for r in rows]

@@ -48,6 +48,14 @@ def marginal_tolerance(p: MonicCubic) -> float:
     return 1e-9 * (1.0 + abs(p.a1 * p.a2) + abs(p.a0))
 
 
+def _gap_verdict(p: MonicCubic) -> Verdict:
+    """Sign of the Routh-Hurwitz gap a1*a2 - a0, MARGINAL inside the band; coefficient signs unchecked."""
+    gap = p.a1 * p.a2 - p.a0
+    if abs(gap) <= marginal_tolerance(p):
+        return Verdict.MARGINAL
+    return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART
+
+
 def _newton_polish(p: MonicCubic, t: float) -> float:
     for _ in range(2):
         dp = p.derivative(t)
@@ -108,10 +116,7 @@ def hurwitz_negative(p: MonicCubic) -> Verdict:
     left half plane iff a1*a2 > a0 (strictly, outside the marginal band)."""
     if not (p.a0 > 0.0 and p.a1 > 0.0 and p.a2 > 0.0):
         raise HypothesisViolated(f"hurwitz_negative requires positive coefficients, got {tuple(p)}")
-    gap = p.a1 * p.a2 - p.a0
-    if abs(gap) <= marginal_tolerance(p):
-        return Verdict.MARGINAL
-    return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART
+    return _gap_verdict(p)
 
 
 class ImaginaryRootFactorization(NamedTuple):
@@ -122,9 +127,7 @@ class ImaginaryRootFactorization(NamedTuple):
 def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactorization]:
     """If a1 > 0 and a1*a2 == a0 (within tolerance), the cubic factors as
     (t^2 + a1)(t + a2); returns (sqrt(a1), -a2) in that case, None otherwise."""
-    if p.a1 <= 0.0:
-        return None
-    if abs(p.a1 * p.a2 - p.a0) > marginal_tolerance(p):
+    if p.a1 <= 0.0 or _gap_verdict(p) is not Verdict.MARGINAL:
         return None
     sigma = math.sqrt(p.a1)
     # Factorization residual check at the imaginary root.

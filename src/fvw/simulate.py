@@ -52,11 +52,26 @@ class Trajectory:
         return State(*self.states[-1])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "f", "v", "w"])
-            for t, (f, v, w) in zip(self.times, self.states):
-                writer.writerow([f"{x:.17g}" for x in (t, f, v, w)])
+        _write_csv(path, ["t", "f", "v", "w"], np.column_stack((self.times, self.states)).tolist())
+
+
+def _fmt(x) -> str:
+    """One CSV cell: a str verbatim, a bool as true/false, an int as digits, any other number as %.17g."""
+    if type(x) is float:  # the common cell, tested first for speed
+        return "%.17g" % x
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (str, int, np.integer)):
+        return str(x)
+    return "%.17g" % x
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """The one CSV writer: a header line, then one line per row of cells formatted by _fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def _rk4_step(rhs, y, h):
@@ -86,8 +101,9 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
             rows.append(_rk4_step(rhs, rows[-1], dt))
         states = np.array(rows)
     else:
-        sol = solve_ivp(lambda t, y: np.array(_reaction_terms(p, *y)), (0.0, cfg.t_final),
-                        np.asarray(s0, dtype=float), method="RK45", rtol=cfg.rtol, atol=cfg.atol)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
+            sol = solve_ivp(lambda t, y: np.array(_reaction_terms(p, *y)), (0.0, cfg.t_final),
+                            np.asarray(s0, dtype=float), method="RK45", rtol=cfg.rtol, atol=cfg.atol)
         if not sol.success:
             raise StepFailure(f"adaptive integration failed: {sol.message}")
         times = sol.t
@@ -221,8 +237,9 @@ def simulate_pde(
         span = target - t
         n_steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         step = span / n_steps if n_steps else 0.0
-        for _ in range(n_steps):
-            y = _rk4_step(rhs, y, step)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
+            for _ in range(n_steps):
+                y = _rk4_step(rhs, y, step)
         t = target
         if not all(np.isfinite(u).all() for u in y):
             raise StepFailure(f"fields became non-finite by the snapshot at t={t:.17g}")
@@ -239,9 +256,7 @@ def linearized_mode_system(p: ModelParams, mu: float) -> tuple[np.ndarray, np.nd
 
 def write_snapshots_csv(snapshots: Sequence[FieldState], path) -> None:
     """Long-form CSV (t, x, f, v, w) across all snapshots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "f", "v", "w"])
-        for snap in snapshots:
-            for x, f, v, w in zip(snap.x, snap.f, snap.v, snap.w):
-                writer.writerow([f"{val:.17g}" for val in (snap.time, x, f, v, w)])
+    rows = []
+    for snap in snapshots:
+        rows += np.column_stack((np.full(snap.grid_points, snap.time), snap.x, snap.f, snap.v, snap.w)).tolist()
+    _write_csv(path, ["t", "x", "f", "v", "w"], rows)

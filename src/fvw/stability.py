@@ -14,15 +14,22 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cubic import MonicCubic, RootSet, Verdict, hurwitz_negative, marginal_tolerance, solve_cubic
+from .cubic import MonicCubic, RootSet, Verdict, _gap_verdict, hurwitz_negative, solve_cubic
 from .errors import DefectiveMatrixWarning, DegenerateDiffusion, NoWaveTrain, VarsigmaOutOfRange
-from .model import ModelParams, State, coexistence_state, jacobian
+from .model import ModelParams, coexistence_state, jacobian
 
 
 class Classification(enum.Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
     NEUTRAL = "neutral"
+
+
+_CLASSIFICATION = {
+    Verdict.ALL_NEGATIVE_REAL_PART: Classification.STABLE,
+    Verdict.MARGINAL: Classification.NEUTRAL,
+    Verdict.HAS_NONNEGATIVE_REAL_PART: Classification.UNSTABLE,
+}
 
 
 @dataclass(frozen=True)
@@ -39,12 +46,15 @@ def upsilon(p: ModelParams) -> float:
     return 2.0 * p.beta * p.gamma * (p.delta - p.alpha) / (disc + p.alpha * p.epsilon) + p.epsilon
 
 
+def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float]:
+    """(f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*, delta zeta v* w*) at the coexistence equilibrium."""
+    f, v, w = coexistence_state(p)
+    return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w
+
+
 def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
     """Characteristic-polynomial coefficients (a2, a1, a0) of the mode matrix A(mu)."""
-    f, v, w = coexistence_state(p)
-    s = p.delta * v + p.epsilon
-    fire_veg = p.alpha * p.eta * f * v
-    veg_water = p.delta * p.zeta * v * w
+    f, v, w, s, fire_veg, veg_water = _coexistence_terms(p)
     a2 = (p.c + p.d) * mu + s
     a1 = p.c * mu * (p.d * mu + s) + fire_veg + veg_water
     a0 = p.c * mu * veg_water + fire_veg * (s + p.d * mu) + p.beta * p.delta * p.eta * f * v * w
@@ -63,14 +73,7 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     if which != "E1":
         raise ValueError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     poly = dispersion_coefficients(p, 0.0)
-    gap = poly.a1 * poly.a2 - poly.a0
-    if abs(gap) <= marginal_tolerance(poly):
-        cls = Classification.NEUTRAL
-    elif gap > 0.0:
-        cls = Classification.STABLE
-    else:
-        cls = Classification.UNSTABLE
-    return StabilityVerdict(upsilon(p), cls, solve_cubic(poly))
+    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly)], solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -78,8 +81,7 @@ def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
     with squared wavenumber mu; reduces to the reaction Jacobian at mu = 0."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    f, v, w = coexistence_state(p)
-    A = jacobian(State(f, v, w), p)
+    A = jacobian(coexistence_state(p), p)
     A[0, 0] -= p.c * mu
     A[2, 2] -= p.d * mu
     return A
@@ -102,10 +104,7 @@ class PhiCubic(NamedTuple):
 
 
 def phi_cubic(p: ModelParams) -> PhiCubic:
-    f, v, w = coexistence_state(p)
-    s = p.delta * v + p.epsilon
-    fire_veg = p.alpha * p.eta * f * v
-    veg_water = p.delta * p.zeta * v * w
+    _, _, _, s, fire_veg, veg_water = _coexistence_terms(p)
     b3 = p.c * p.d * (p.c + p.d)
     b2 = p.c * (p.c + 2.0 * p.d) * s
     b1 = p.c * s * s + p.d * veg_water + p.c * fire_veg
@@ -265,13 +264,17 @@ def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> 
     return V @ (np.exp(lam * t) * coeffs)
 
 
-def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray:
-    """Mode matrix with nonlocal plant competition: the vegetation diagonal
-    entry is shifted by varsigma = ell * mu * v_star (ell implied)."""
+def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:
     if not (0.0 < varsigma < p.epsilon):
         raise VarsigmaOutOfRange(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
+
+
+def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray:
+    """Mode matrix with nonlocal plant competition: the vegetation diagonal
+    entry is shifted by varsigma = ell * mu * v_star (ell implied)."""
+    _check_competition(p, mu, varsigma)
     L = mode_matrix(p, mu)
     L[1, 1] += varsigma
     return L
@@ -291,13 +294,9 @@ class CompetitionSpectrum:
 def competition_instability(p: ModelParams, mu: float, varsigma: float) -> CompetitionSpectrum:
     """Spectrum of the competition matrix L(mu, varsigma); for small rainfall
     gamma and small mu a real eigenvalue near varsigma > 0 drives instability."""
-    if not (0.0 < varsigma < p.epsilon):
-        raise VarsigmaOutOfRange(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    _check_competition(p, mu, varsigma)
     base = dispersion_coefficients(p, mu)
-    _, v, _ = coexistence_state(p)
-    s = p.delta * v + p.epsilon
+    s = _coexistence_terms(p)[3]
     q = MonicCubic(
         base.a2 - varsigma,
         base.a1 - varsigma * (s + (p.c + p.d) * mu),

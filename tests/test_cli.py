@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -7,6 +8,31 @@ import pytest
 from fvw.cli import build_parser, main, resolve_config
 
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
+
+
+# sha256 of each subcommand's CSV as written by the per-command writers that the
+# shared CSV writer replaced; any change to a digit, a cell rule or a row order shows here.
+CSV_DIGESTS = [
+    (["equilibria", "--alpha", "2", "--epsilon", "0.1"],
+     "497c501693b4a9784b9771c92469a7306e4e6a9ec41a3335da0628f638a678d4"),
+    (["stability", *UNSTABLE_FLAGS],
+     "ec9a7e1ef0cb0a6a823ade7890c372c160f290f8b1df4cb7d812feeca37f1897"),
+    (["dispersion", *UNSTABLE_FLAGS, "--mu-max", "2", "--samples", "51"],
+     "c81168b7e02bbed294f28fc56ed1af7dce19a9e0bee2a73de38cc899b4213654"),
+    (["wavetrain", *UNSTABLE_FLAGS],
+     "d9145726eb90b5ef7f7784049060787056054ec483787c961479b5154cdd301b"),
+    (["competition", "--gamma", "0.01", "--c", "1", "--d", "1", "--mu", "0.01", "--varsigma", "0.5"],
+     "374155b5a3f62f9516bd9038d9422bdb8a1dd043e9a7cff826cd58f3355bd9c2"),
+    (["simulate-ode", "--f0", "1", "--v0", "1", "--w0", "0.5", "--dt", "0.1", "--t-final", "2"],
+     "d33d5e35d48a75778814d345780039068116491d7852fa0fcded2e6190716e3d"),
+    (["simulate-pde", "--c", "1", "--d", "1", "--grid-points", "16", "--t-final", "0.2",
+      "--snapshots", "2", "--rho", "0.01"],
+     "9ab809aa059216284e8044c65dd4aaa26515b95abb4b6f39528fd0319b007600"),
+    (["kernel-moments", "--kernel", "exponential", "--dimension", "2", "--j-max", "3"],
+     "21a441b3f20cf130dc8a185518803f31d86885d5cb7fd5a3c3557e7c2c0e94ad"),
+    (["sweep", *UNSTABLE_FLAGS, "--axis", "alpha", "--start", "0.5", "--stop", "5", "--samples", "12"],
+     "b652d2ab9e1f8019f3bc1edd9a568cd0751214f015bedf921b0ff81ad77bb304"),
+]
 
 
 def read_csv(path):
@@ -170,6 +196,12 @@ class TestValidationAndDeterminism:
         assert main([*args, "--output", str(a)]) == 0
         assert main([*args, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", CSV_DIGESTS, ids=[argv[0] for argv, _ in CSV_DIGESTS])
+    def test_csv_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FVW_OUTPUT_DIR", str(tmp_path))

@@ -384,11 +384,14 @@ class TestCompetition:
             assert fine < coarse
             assert 0.05 <= coarse / fine <= 20.0
 
+    # Both competition entry points share one validation; each test checks both callers.
     @pytest.mark.parametrize("varsigma", [0.0, 1.0, 1.5, -0.2])
     def test_varsigma_out_of_range(self, varsigma, ones):
-        with pytest.raises(VarsigmaOutOfRange):
-            competition_instability(all_ones(c=1.0, d=1.0), 0.1, varsigma)
+        for fn in (competition_instability, competition_matrix):
+            with pytest.raises(VarsigmaOutOfRange):
+                fn(all_ones(c=1.0, d=1.0), 0.1, varsigma)
 
     def test_nonpositive_mu_rejected(self):
-        with pytest.raises(ValueError):
-            competition_instability(all_ones(c=1.0, d=1.0), 0.0, 0.5)
+        for fn in (competition_instability, competition_matrix):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                fn(all_ones(c=1.0, d=1.0), 0.0, 0.5)
