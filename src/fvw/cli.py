@@ -10,91 +10,24 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, model, simulate, stability
 from .simulate import _fmt, _write_csv
-from .errors import (
-    CFLViolation,
-    DegenerateDiffusion,
-    HypothesisViolated,
-    NoWaveTrain,
-    SlowDecay,
-    StepFailure,
-    ValidationError,
-    VarsigmaOutOfRange,
-)
+from .errors import CFLViolation, DegenerateDiffusion, NoWaveTrain, SlowDecay, StepFailure, ValidationError
 
 OUTPUT_DIR_ENV = "FVW_OUTPUT_DIR"
 
-PARAM_DEFAULTS = {
-    "alpha": 1.0,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "delta": 1.0,
-    "epsilon": 1.0,
-    "eta": 1.0,
-    "zeta": 1.0,
-    "c": 0.0,
-    "d": 0.0,
-    "ell": 0.0,
-}
-
-# command -> {option_name: (type, default)}
-COMMAND_OPTIONS = {
-    "equilibria": {},
-    "stability": {},
-    "dispersion": {
-        "mu_min": (float, 0.0),
-        "mu_max": (float, 2.0),
-        "samples": (int, 201),
-    },
-    "wavetrain": {},
-    "competition": {
-        "mu": (float, 0.01),
-        "varsigma": (float, 0.5),
-    },
-    "simulate-ode": {
-        "f0": (float, None),
-        "v0": (float, None),
-        "w0": (float, None),
-        "method": (str, "rk4"),
-        "dt": (float, 0.01),
-        "t_final": (float, 50.0),
-        "rtol": (float, 1e-8),
-        "atol": (float, 1e-10),
-    },
-    "simulate-pde": {
-        "grid_points": (int, 256),
-        "domain_length": (float, 2.0 * math.pi),
-        "mode": (int, 1),
-        "rho": (float, 1e-4),
-        "dt": (float, 0.001),
-        "t_final": (float, 10.0),
-        "snapshots": (int, 5),
-    },
-    "kernel-moments": {
-        "kernel": (str, "gaussian"),
-        "scale": (float, 1.0),
-        "dimension": (int, 1),
-        "j_max": (int, 2),
-    },
-    "sweep": {
-        "axis": (str, "alpha"),
-        "start": (float, 0.1),
-        "stop": (float, 20.0),
-        "samples": (int, 50),
-        "log": (int, 0),
-    },
-}
+# Every model parameter is a float option; names, order and defaults come from the model.
+PARAMS = {name: (float, value) for name, value in dataclasses.asdict(model.all_ones()).items()}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     params: model.ModelParams
@@ -102,14 +35,12 @@ class RunConfig:
     output: str
 
     def dump(self, stream) -> None:
-        stream.write("[run]\n")
-        stream.write(f"command = {self.command}\n\n[params]\n")
-        for name in PARAM_DEFAULTS:
-            stream.write(f"{name} = {_fmt(getattr(self.params, name))}\n")
-        stream.write("\n[options]\n")
-        for name, value in self.options.items():
-            if value is not None:
-                stream.write(f"{name} = {_fmt(value)}\n")
+        stream.write(f"[run]\ncommand = {self.command}\n")
+        for section, values in (("params", dataclasses.asdict(self.params)), ("options", self.options)):
+            stream.write(f"\n[{section}]\n")
+            for name, value in values.items():
+                if value is not None:
+                    stream.write(f"{name} = {_fmt(value)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,59 +49,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fire-vegetation-water reaction-diffusion model: analysis and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in COMMAND_OPTIONS.items():
+    for command, (_handler, options) in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="plain-text key=value config file")
         p.add_argument("--output", default=None, help="output CSV path")
         p.add_argument("--dump-config", action="store_true", help="print the resolved config and exit")
-        for name in PARAM_DEFAULTS:
-            p.add_argument(f"--{name}", type=float, default=None)
-        for name, (typ, _default) in options.items():
+        for name, (typ, _default) in {**PARAMS, **options}.items():
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None)
     return parser
 
 
-def _load_config_file(path: str, command: str) -> tuple[dict, dict]:
+def _load_config_file(path: str, command: str) -> dict:
+    """The [params] and [options] entries of a config file, as raw strings."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ValidationError(f"config file not readable: {path}")
-    if cp.has_option("run", "command") and cp.get("run", "command") != command:
-        raise ValidationError(
-            f"config file is for command {cp.get('run', 'command')!r}, not {command!r}"
-        )
-    params = {k: float(v) for k, v in cp.items("params")} if cp.has_section("params") else {}
-    options = dict(cp.items("options")) if cp.has_section("options") else {}
-    for name in params:
-        if name not in PARAM_DEFAULTS:
-            raise ValidationError(f"unknown parameter {name!r} in config file")
-    return params, options
+    try:
+        if not cp.read(path):
+            raise ValidationError(f"config file not readable: {path}")
+        file_command = cp.get("run", "command", fallback=command)
+        sections = {s: dict(cp.items(s)) for s in ("params", "options") if cp.has_section(s)}
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from None
+    if file_command != command:
+        raise ValidationError(f"config file is for command {file_command!r}, not {command!r}")
+    known = {"params": ("parameter", PARAMS), "options": ("option", COMMANDS[command][1])}
+    for section, entries in sections.items():
+        kind, table = known[section]
+        for name in entries:
+            if name not in table:
+                raise ValidationError(f"unknown {kind} {name!r} in config file")
+    return {name: value for entries in sections.values() for name, value in entries.items()}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each value from its flag, else the config file, else its default."""
     command = args.command
-    spec = COMMAND_OPTIONS[command]
-    file_params, file_options = ({}, {})
-    if args.config:
-        file_params, file_options = _load_config_file(args.config, command)
-
-    params = {}
-    for name, default in PARAM_DEFAULTS.items():
-        cli_value = getattr(args, name)
-        params[name] = cli_value if cli_value is not None else file_params.get(name, default)
-    options = {}
+    spec = {**PARAMS, **COMMANDS[command][1]}
+    from_file = _load_config_file(args.config, command) if args.config else {}
+    values = {}
     for name, (typ, default) in spec.items():
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            options[name] = cli_value
-        elif name in file_options:
-            options[name] = typ(file_options[name])
-        else:
-            options[name] = default
+        flag = getattr(args, name)
+        values[name] = flag if flag is not None else (typ(from_file[name]) if name in from_file else default)
+    params = model.ModelParams(**{name: values.pop(name) for name in PARAMS})
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
     output = args.output if args.output else os.path.join(out_dir, f"{command}.csv")
-    return RunConfig(command, model.ModelParams(**params), options, output)
+    return RunConfig(command, params, values, output)
 
 
 def _eig_columns(root_set) -> list[float]:
@@ -293,7 +216,7 @@ def cmd_kernel_moments(cfg: RunConfig) -> list[str]:
 def cmd_sweep(cfg: RunConfig) -> list[str]:
     opts = cfg.options
     axis = opts["axis"]
-    if axis not in PARAM_DEFAULTS:
+    if axis not in PARAMS:
         raise ValidationError(f"unknown sweep axis {axis!r}")
     if opts["samples"] < 2:
         raise ValidationError("samples must be at least 2")
@@ -306,9 +229,7 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
 
     rows = []
     for value in values:
-        kwargs = {name: getattr(cfg.params, name) for name in PARAM_DEFAULTS}
-        kwargs[axis] = float(value)
-        p = model.ModelParams(**kwargs)
+        p = dataclasses.replace(cfg.params, **{axis: float(value)})
         verdict = stability.classify_equilibrium("E1", p)
         has_diffusion = p.c > 0 or p.d > 0
         mu_threshold = stability.find_k0(p).mu_threshold if has_diffusion else math.nan
@@ -325,25 +246,60 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
     return [f"{len(rows)} rows, Upsilon sign changes: {crossings}"]
 
 
-_DISPATCH = {
-    "equilibria": cmd_equilibria,
-    "stability": cmd_stability,
-    "dispersion": cmd_dispersion,
-    "wavetrain": cmd_wavetrain,
-    "competition": cmd_competition,
-    "simulate-ode": cmd_simulate_ode,
-    "simulate-pde": cmd_simulate_pde,
-    "kernel-moments": cmd_kernel_moments,
-    "sweep": cmd_sweep,
+# command -> (handler, {option_name: (type, default)})
+COMMANDS = {
+    "equilibria": (cmd_equilibria, {}),
+    "stability": (cmd_stability, {}),
+    "dispersion": (cmd_dispersion, {
+        "mu_min": (float, 0.0),
+        "mu_max": (float, 2.0),
+        "samples": (int, 201),
+    }),
+    "wavetrain": (cmd_wavetrain, {}),
+    "competition": (cmd_competition, {
+        "mu": (float, 0.01),
+        "varsigma": (float, 0.5),
+    }),
+    "simulate-ode": (cmd_simulate_ode, {
+        "f0": (float, None),
+        "v0": (float, None),
+        "w0": (float, None),
+        "method": (str, "rk4"),
+        "dt": (float, 0.01),
+        "t_final": (float, 50.0),
+        "rtol": (float, 1e-8),
+        "atol": (float, 1e-10),
+    }),
+    "simulate-pde": (cmd_simulate_pde, {
+        "grid_points": (int, 256),
+        "domain_length": (float, 2.0 * math.pi),
+        "mode": (int, 1),
+        "rho": (float, 1e-4),
+        "dt": (float, 0.001),
+        "t_final": (float, 10.0),
+        "snapshots": (int, 5),
+    }),
+    "kernel-moments": (cmd_kernel_moments, {
+        "kernel": (str, "gaussian"),
+        "scale": (float, 1.0),
+        "dimension": (int, 1),
+        "j_max": (int, 2),
+    }),
+    "sweep": (cmd_sweep, {
+        "axis": (str, "alpha"),
+        "start": (float, 0.1),
+        "stop": (float, 20.0),
+        "samples": (int, 50),
+        "log": (int, 0),
+    }),
 }
 
-_VALIDATION_ERRORS = (ValidationError, HypothesisViolated, VarsigmaOutOfRange, ValueError)
 _NUMERICAL_ERRORS = (NoWaveTrain, DegenerateDiffusion, StepFailure, CFLViolation, SlowDecay)
 
 
 def run(config: RunConfig, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    for line in _DISPATCH[config.command](config):
+    for line in COMMANDS[config.command][0](config):
         stream.write(line + "\n")
     return 0
 
@@ -360,7 +316,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:  # ValidationError and the other domain errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

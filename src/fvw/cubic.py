@@ -48,9 +48,14 @@ def marginal_tolerance(p: MonicCubic) -> float:
     return 1e-9 * (1.0 + abs(p.a1 * p.a2) + abs(p.a0))
 
 
+def _gap(p: MonicCubic) -> float:
+    """The Routh-Hurwitz gap a1*a2 - a0."""
+    return p.a1 * p.a2 - p.a0
+
+
 def _gap_verdict(p: MonicCubic) -> Verdict:
-    """Sign of the Routh-Hurwitz gap a1*a2 - a0, MARGINAL inside the band; coefficient signs unchecked."""
-    gap = p.a1 * p.a2 - p.a0
+    """Sign of the Routh-Hurwitz gap, MARGINAL inside the band; coefficient signs unchecked."""
+    gap = _gap(p)
     if abs(gap) <= marginal_tolerance(p):
         return Verdict.MARGINAL
     return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART

@@ -36,6 +36,8 @@ class IntegratorConfig:
             raise ValidationError(f"unknown integrator method {self.method!r}")
         if not self.t_final > 0:
             raise ValidationError("t_final must be positive")
+        if math.isinf(self.t_final):
+            raise ValidationError("t_final must be finite")
         if self.method == "rk4" and not self.dt > 0:
             raise ValidationError("dt must be positive")
         if self.method == "rk45" and not (self.rtol > 0 and self.atol > 0):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cubic import MonicCubic, RootSet, Verdict, _gap_verdict, hurwitz_negative, solve_cubic
+from .cubic import MonicCubic, RootSet, Verdict, _gap, _gap_verdict, hurwitz_negative, solve_cubic
 from .errors import DefectiveMatrixWarning, DegenerateDiffusion, NoWaveTrain, VarsigmaOutOfRange
 from .model import ModelParams, coexistence_state, jacobian
 
@@ -135,7 +135,7 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
                 a2=poly.a2,
                 a1=poly.a1,
                 a0=poly.a0,
-                phi=poly.a1 * poly.a2 - poly.a0,
+                phi=_gap(poly),
                 eigenvalues=solve_cubic(poly),
                 stable=verdict is Verdict.ALL_NEGATIVE_REAL_PART,
             )

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fvw import ModelParams, all_ones
+
+# Property tests draw the same examples on every run and are not timed per example.
+settings.register_profile("fvw", derandomize=True, deadline=None, database=None, max_examples=20)
+settings.load_profile("fvw")
 
 
 @pytest.fixture

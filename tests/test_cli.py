@@ -1,11 +1,16 @@
+import dataclasses
 import hashlib
+import io
 import math
 import os
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fvw.cli import build_parser, main, resolve_config
+from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_config
 
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
 
@@ -33,6 +38,42 @@ CSV_DIGESTS = [
     (["sweep", *UNSTABLE_FLAGS, "--axis", "alpha", "--start", "0.5", "--stop", "5", "--samples", "12"],
      "b652d2ab9e1f8019f3bc1edd9a568cd0751214f015bedf921b0ff81ad77bb304"),
 ]
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+RATES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta")
+# A valid value for every subcommand option; varsigma is drawn as a fraction of epsilon.
+OPTION_VALUES = {
+    "mu_min": st.floats(0.0, 1.0),
+    "mu_max": log_uniform(1.0, 1e3),
+    "samples": st.integers(2, 1000),
+    "mu": log_uniform(1e-6, 1e2),
+    "varsigma": st.floats(0.01, 0.99),
+    "f0": st.none() | st.floats(0.0, 10.0),
+    "v0": st.none() | st.floats(0.0, 10.0),
+    "w0": st.none() | st.floats(0.0, 10.0),
+    "method": st.sampled_from(["rk4", "rk45"]),
+    "dt": log_uniform(1e-6, 1.0),
+    "t_final": log_uniform(1e-3, 1e3),
+    "rtol": log_uniform(1e-14, 1e-2),
+    "atol": log_uniform(1e-14, 1e-2),
+    "grid_points": st.integers(3, 4096),
+    "domain_length": log_uniform(1e-3, 1e3),
+    "mode": st.integers(0, 16),
+    "rho": log_uniform(1e-8, 1.0),
+    "snapshots": st.integers(1, 100),
+    "kernel": st.sampled_from(sorted(_KERNELS)),
+    "scale": log_uniform(1e-3, 1e3),
+    "dimension": st.integers(1, 3),
+    "j_max": st.integers(0, 6),
+    "axis": st.sampled_from(list(PARAMS)),
+    "start": log_uniform(1e-6, 1.0),
+    "stop": log_uniform(1.0, 1e6),
+    "log": st.integers(0, 1),
+}
 
 
 def read_csv(path):
@@ -185,10 +226,21 @@ class TestKernelMomentsCommand:
 
 
 class TestValidationAndDeterminism:
-    def test_invalid_parameter_exit_code(self, tmp_path, capsys):
-        code = main(["equilibria", "--alpha", "-1", "--output", str(tmp_path / "eq.csv")])
-        assert code == 2
-        assert "alpha" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["equilibria", "--alpha", "-1"], "alpha"),
+            (["simulate-ode", "--t-final", "inf"], "t_final"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--t-final", "inf"], "t_final"),
+        ],
+        ids=["alpha", "ode-t_final-inf", "pde-t_final-inf"],
+    )
+    def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -208,19 +260,51 @@ class TestValidationAndDeterminism:
         assert main(["equilibria"]) == 0
         assert (tmp_path / "equilibria.csv").exists()
 
-    def test_dump_config_round_trip(self, tmp_path, capsys):
-        args = ["dispersion", *UNSTABLE_FLAGS, "--mu-max", "3.5", "--samples", "77"]
-        assert main([*args, "--dump-config"]) == 0
-        dumped = capsys.readouterr().out
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(dumped)
-
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dump_config_round_trip(self, tmp_path, data):
         parser = build_parser()
-        original = resolve_config(parser.parse_args(args))
-        reparsed = resolve_config(parser.parse_args(["dispersion", "--config", str(cfg_path)]))
-        assert reparsed.command == original.command
-        assert reparsed.params == original.params
-        assert reparsed.options == original.options
+        cfg_path = tmp_path / "run.cfg"
+        for command, (_handler, spec) in COMMANDS.items():
+            params = {name: data.draw(log_uniform(1e-6, 1e6), label=name) for name in RATES}
+            for name in ("c", "d"):
+                params[name] = data.draw(st.just(0.0) | log_uniform(1e-6, 1e6), label=name)
+            options = {name: data.draw(OPTION_VALUES[name], label=name) for name in spec}
+            if "varsigma" in options:
+                options["varsigma"] *= params["epsilon"]
+            argv = [command] + [
+                arg for name, value in {**params, **options}.items() if value is not None
+                for arg in (f"--{name.replace('_', '-')}", str(value))
+            ]
+            with redirect_stdout(io.StringIO()) as dumped:
+                assert main([*argv, "--dump-config"]) == 0
+            cfg_path.write_text(dumped.getvalue())
+
+            original = resolve_config(parser.parse_args(argv))
+            assert dataclasses.asdict(original.params) == {**params, "ell": 0.0}
+            assert original.options == options
+            reparsed = resolve_config(parser.parse_args([command, "--config", str(cfg_path)]))
+            assert reparsed.command == original.command == command
+            assert reparsed.params == original.params
+            assert reparsed.options == original.options
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alpha = 2\n", "malformed config file"),
+            ("[options]\nsampels = 5\n", "unknown option 'sampels'"),
+            ("[params]\nomega = 3\n", "unknown parameter 'omega'"),
+            ("[params]\nalpha = 50%\n", "malformed config file"),
+        ],
+        ids=["no-section-header", "unknown-option", "unknown-parameter", "bad-interpolation"],
+    )
+    def test_bad_config_file_exit_code(self, tmp_path, capsys, text, message):
+        cfg_path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg_path.write_text(text)
+        assert main(["dispersion", "--config", str(cfg_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_command_mismatch(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -197,6 +197,8 @@ class TestIntegrateOde:
             IntegratorConfig(method="rk4", dt=-0.1)
         with pytest.raises(ValidationError):
             IntegratorConfig(method="rk4", t_final=0.0)
+        with pytest.raises(ValidationError):
+            IntegratorConfig(method="rk4", t_final=math.inf)
 
 
 class TestSimulatePde:
