@@ -10,6 +10,7 @@ from .errors import (
     DegenerateDiffusion,
     HypothesisViolated,
     NoWaveTrain,
+    NumericalFailure,
     SlowDecay,
     StepFailure,
     ValidationError,

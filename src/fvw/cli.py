@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, model, simulate, stability
 from .simulate import _fmt, _write_csv
-from .errors import CFLViolation, DegenerateDiffusion, NoWaveTrain, SlowDecay, StepFailure, ValidationError
+from .errors import NumericalFailure, ValidationError
 
 OUTPUT_DIR_ENV = "FVW_OUTPUT_DIR"
 
@@ -86,9 +86,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     spec = {**PARAMS, **COMMANDS[command][1]}
     from_file = _load_config_file(args.config, command) if args.config else {}
     values = {}
-    for name, (typ, default) in spec.items():
-        flag = getattr(args, name)
-        values[name] = flag if flag is not None else (typ(from_file[name]) if name in from_file else default)
+    try:
+        for name, (typ, default) in spec.items():
+            flag = getattr(args, name)
+            values[name] = flag if flag is not None else (typ(from_file[name]) if name in from_file else default)
+    except ValueError:
+        raise ValidationError(f"config value {name} = {from_file[name]!r} is not a valid {typ.__name__}") from None
     params = model.ModelParams(**{name: values.pop(name) for name in PARAMS})
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -124,12 +127,22 @@ def cmd_stability(cfg: RunConfig) -> list[str]:
     return [f"{row[0]}: {row[2]} (Upsilon={_fmt(row[1])})" for row in rows]
 
 
+def _grid(start: float, stop: float, samples: int, log: bool = False) -> np.ndarray:
+    """`samples` values from start to stop, evenly spaced, or geometrically if log."""
+    if not 2 <= samples <= simulate.MAX_COUNT:
+        raise ValidationError(f"samples must lie in [2, {simulate.MAX_COUNT}], got {samples}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"grid ends must be finite, got {start} and {stop}")
+    if log and not (start > 0 and stop > 0):
+        raise ValidationError("log-spaced sweep requires positive endpoints")
+    return np.geomspace(start, stop, samples) if log else np.linspace(start, stop, samples)
+
+
 def cmd_dispersion(cfg: RunConfig) -> list[str]:
     opts = cfg.options
-    if opts["samples"] < 2:
-        raise ValidationError("samples must be at least 2")
-    grid = np.linspace(opts["mu_min"], opts["mu_max"], opts["samples"])
-    samples = stability.dispersion_curve(cfg.params, grid)
+    if min(opts["mu_min"], opts["mu_max"]) < 0:
+        raise ValidationError("mu_min and mu_max must be nonnegative")
+    samples = stability.dispersion_curve(cfg.params, _grid(opts["mu_min"], opts["mu_max"], opts["samples"]))
     rows = [
         [s.mu, s.a2, s.a1, s.a0, s.phi, s.stable, s.eigenvalues.max_real_part()]
         for s in samples
@@ -187,6 +200,8 @@ def cmd_simulate_pde(cfg: RunConfig) -> list[str]:
         cfg.params, opts["grid_points"], opts["domain_length"], opts["mode"], opts["rho"]
     )
     icfg = simulate.IntegratorConfig(method="rk4", t_final=opts["t_final"], dt=opts["dt"])
+    if not 0 <= opts["snapshots"] <= simulate.MAX_COUNT:
+        raise ValidationError(f"snapshots must lie in [0, {simulate.MAX_COUNT}], got {opts['snapshots']}")
     times = np.linspace(0.0, opts["t_final"], opts["snapshots"] + 1)[1:]
     snapshots = simulate.simulate_pde(field0, cfg.params, icfg, times)
     simulate.write_snapshots_csv([field0, *snapshots], cfg.output)
@@ -218,17 +233,8 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
     axis = opts["axis"]
     if axis not in PARAMS:
         raise ValidationError(f"unknown sweep axis {axis!r}")
-    if opts["samples"] < 2:
-        raise ValidationError("samples must be at least 2")
-    if opts["log"]:
-        if opts["start"] <= 0 or opts["stop"] <= 0:
-            raise ValidationError("log-spaced sweep requires positive endpoints")
-        values = np.geomspace(opts["start"], opts["stop"], opts["samples"])
-    else:
-        values = np.linspace(opts["start"], opts["stop"], opts["samples"])
-
     rows = []
-    for value in values:
+    for value in _grid(opts["start"], opts["stop"], opts["samples"], opts["log"]):
         p = dataclasses.replace(cfg.params, **{axis: float(value)})
         verdict = stability.classify_equilibrium("E1", p)
         has_diffusion = p.c > 0 or p.d > 0
@@ -294,9 +300,6 @@ COMMANDS = {
     }),
 }
 
-_NUMERICAL_ERRORS = (NoWaveTrain, DegenerateDiffusion, StepFailure, CFLViolation, SlowDecay)
-
-
 def run(config: RunConfig, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     for line in COMMANDS[config.command][0](config):
@@ -313,12 +316,9 @@ def main(argv=None) -> int:
             config.dump(sys.stdout)
             return 0
         return run(config)
-    except _NUMERICAL_ERRORS as exc:
+    except (ValidationError, NumericalFailure) as exc:  # the class decides the exit code; anything else is a bug
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # ValidationError and the other domain errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

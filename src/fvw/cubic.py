@@ -13,7 +13,7 @@ import enum
 import math
 from typing import NamedTuple, Optional
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, ValidationError
 
 
 class MonicCubic(NamedTuple):
@@ -43,9 +43,9 @@ class Verdict(enum.Enum):
     HAS_NONNEGATIVE_REAL_PART = "has_nonnegative_real_part"
 
 
-def marginal_tolerance(p: MonicCubic) -> float:
-    """Width of the numerical band around exact marginality a1*a2 == a0."""
-    return 1e-9 * (1.0 + abs(p.a1 * p.a2) + abs(p.a0))
+def _band(x: float, y: float = 0.0) -> float:
+    """The relative tolerance 1e-9 (1 + |x| + |y|), summed left to right, of every near-zero test."""
+    return 1e-9 * (1.0 + abs(x) + abs(y))
 
 
 def _gap(p: MonicCubic) -> float:
@@ -56,7 +56,7 @@ def _gap(p: MonicCubic) -> float:
 def _gap_verdict(p: MonicCubic) -> Verdict:
     """Sign of the Routh-Hurwitz gap, MARGINAL inside the band; coefficient signs unchecked."""
     gap = _gap(p)
-    if abs(gap) <= marginal_tolerance(p):
+    if abs(gap) <= _band(p.a1 * p.a2, p.a0):  # the marginal band around a1*a2 == a0
         return Verdict.MARGINAL
     return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART
 
@@ -76,7 +76,7 @@ def _newton_polish(p: MonicCubic, t: float) -> float:
 def solve_cubic(p: MonicCubic) -> RootSet:
     """All three roots; conjugate symmetry of complex pairs is enforced exactly."""
     if not all(math.isfinite(a) for a in p):
-        raise ValueError("cubic coefficients must be finite")
+        raise ValidationError("cubic coefficients must be finite")
     a2, a1, a0 = p
     shift = a2 / 3.0
     # Depressed cubic s^3 + q*s + r with t = s - shift.
@@ -101,7 +101,7 @@ def solve_cubic(p: MonicCubic) -> RootSet:
 
     # One real root + conjugate pair; stable Cardano for the real root.
     half_r = r / 2.0
-    root_term = math.sqrt(r * r / 4.0 + q**3 / 27.0)
+    root_term = math.sqrt(max(r * r / 4.0 + q**3 / 27.0, 0.0))  # >= 0 up to rounding when disc < 0
     u = -half_r + root_term if half_r <= 0 else -half_r - root_term
     u = math.copysign(abs(u) ** (1.0 / 3.0), u)
     s_real = u + (-q / 3.0 / u if u != 0.0 else 0.0)
@@ -137,7 +137,6 @@ def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactori
     sigma = math.sqrt(p.a1)
     # Factorization residual check at the imaginary root.
     residual = abs(p(complex(0.0, sigma)))
-    scale = 1.0 + abs(sigma) ** 3
-    if residual > 1e-9 * scale * 10.0:
+    if residual > _band(sigma**3) * 10.0:
         return None
     return ImaginaryRootFactorization(sigma, -p.a2)

@@ -13,7 +13,7 @@ from typing import Callable
 
 from scipy.integrate import quad
 
-from .errors import SlowDecay
+from .errors import SlowDecay, ValidationError
 
 
 def sphere_surface_area(n: int) -> float:
@@ -29,9 +29,9 @@ def pizzetti_constants(n: int, j_max: int) -> list[float]:
     C_{n,j} = area(S^{n-1}) / (2^j j! n(n+2)...(n+2j-2)).
     """
     if n < 1:
-        raise ValueError("dimension n must be at least 1")
+        raise ValidationError("dimension n must be at least 1")
     if not 0 <= j_max <= 6:
-        raise ValueError("j_max must lie in [0, 6]")
+        raise ValidationError("j_max must lie in [0, 6]")
     area = sphere_surface_area(n)
     out = []
     denom = 1.0
@@ -52,7 +52,7 @@ def truncation_radius(K0: Callable[[float], float], max_radius: float = 1e8) -> 
     """Radius beyond which the kernel is negligible (below 1e-16 of K0(0))."""
     k0 = K0(0.0)
     if not k0 > 0:
-        raise ValueError("kernel must be positive at the origin")
+        raise ValidationError("kernel must be positive at the origin")
     r = 1.0
     while K0(r) >= 1e-16 * k0:
         r *= 2.0

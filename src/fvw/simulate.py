@@ -19,6 +19,7 @@ from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rh
 from .stability import mode_matrix
 
 NEGATIVITY_TOL = -1e-9
+MAX_COUNT = 2**53  # most grid points, samples, snapshots or steps a run may ask for: 8 bytes each is 64 PiB
 
 
 @dataclass(frozen=True)
@@ -34,14 +35,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValidationError(f"unknown integrator method {self.method!r}")
-        if not self.t_final > 0:
-            raise ValidationError("t_final must be positive")
-        if math.isinf(self.t_final):
-            raise ValidationError("t_final must be finite")
-        if self.method == "rk4" and not self.dt > 0:
-            raise ValidationError("dt must be positive")
-        if self.method == "rk45" and not (self.rtol > 0 and self.atol > 0):
-            raise ValidationError("rtol and atol must be positive")
+        for name in ("t_final", "dt", "rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be a positive finite real, got {value}")
+        if self.method == "rk4" and self.t_final / self.dt > MAX_COUNT:
+            raise ValidationError(f"t_final / dt must be at most {MAX_COUNT} steps")
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ class FieldState:
             raise ValidationError("grid must have at least 8 points")
         if len(self.v) != n or len(self.w) != n:
             raise ValidationError("f, v, w must have equal length")
-        if not self.domain_length > 0:
-            raise ValidationError("domain_length must be positive")
+        if not (math.isfinite(self.domain_length) and self.domain_length > 0):
+            raise ValidationError(f"domain_length must be a positive finite real, got {self.domain_length}")
 
     @property
     def grid_points(self) -> int:
@@ -172,14 +171,13 @@ def single_mode_field(
     """
     if not 1 <= mode <= n // 2 - 1:
         raise ValidationError(f"mode must lie in [1, N/2-1], got {mode}")
-    eq = coexistence_state(p)
-    x = np.arange(n) * (domain_length / n)
+    if n > MAX_COUNT:
+        raise ValidationError(f"grid must have at most {MAX_COUNT} points")
+    eq = uniform_field(coexistence_state(p), n, domain_length)  # checks domain_length before the division below
     k = 2.0 * math.pi * mode / domain_length
-    s_wave, c_wave = np.sin(k * x), np.cos(k * x)
-    fields = [
-        eq[i] + rho * (sin_amplitudes[i] * s_wave + cos_amplitudes[i] * c_wave)
-        for i in range(3)
-    ]
+    s_wave, c_wave = np.sin(k * eq.x), np.cos(k * eq.x)
+    fields = [u + rho * (sin_amplitudes[i] * s_wave + cos_amplitudes[i] * c_wave)
+              for i, u in enumerate((eq.f, eq.v, eq.w))]
     return FieldState(domain_length, *fields)
 
 

@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cubic import MonicCubic, RootSet, Verdict, _gap, _gap_verdict, hurwitz_negative, solve_cubic
-from .errors import DefectiveMatrixWarning, DegenerateDiffusion, NoWaveTrain, VarsigmaOutOfRange
+from .cubic import MonicCubic, RootSet, Verdict, _band, _gap, _gap_verdict, hurwitz_negative, solve_cubic
+from .errors import DefectiveMatrixWarning, DegenerateDiffusion, NoWaveTrain, ValidationError, VarsigmaOutOfRange
 from .model import ModelParams, coexistence_state, jacobian
 
 
@@ -71,7 +71,7 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
             upsilon(p), Classification.UNSTABLE, RootSet(tuple(complex(e) for e in eigs))
         )
     if which != "E1":
-        raise ValueError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
+        raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     poly = dispersion_coefficients(p, 0.0)
     return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly)], solve_cubic(poly))
 
@@ -80,7 +80,7 @@ def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
     """Linearization about the coexistence equilibrium for a single spatial mode
     with squared wavenumber mu; reduces to the reaction Jacobian at mu = 0."""
     if mu < 0:
-        raise ValueError("mu must be nonnegative")
+        raise ValidationError("mu must be nonnegative")
     A = jacobian(coexistence_state(p), p)
     A[0, 0] -= p.c * mu
     A[2, 2] -= p.d * mu
@@ -157,6 +157,8 @@ def _phi_positive_root(phi: PhiCubic) -> float:
             raise RuntimeError("failed to bracket the root of Phi")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # a root beyond ~1e4 cannot be bracketed to 1e-12 in floats
+            break
         if phi(mid) > 0.0:
             hi = mid
         else:
@@ -268,7 +270,7 @@ def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:
     if not (0.0 < varsigma < p.epsilon):
         raise VarsigmaOutOfRange(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
     if mu <= 0.0:
-        raise ValueError("mu must be positive")
+        raise ValidationError("mu must be positive")
 
 
 def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray:
@@ -303,8 +305,7 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
         base.a0 - p.c * mu * varsigma * (s + p.d * mu),
     )
     eigs = solve_cubic(q)
-    tol = 1e-9 * (1.0 + max(abs(a) for a in q))
-    real_roots = [r.real for r in eigs.roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
+    real_roots = [r.real for r in eigs.roots if abs(r.imag) <= _band(abs(r))]
     continuation = min(real_roots, key=lambda r: abs(r - varsigma)) if real_roots else math.nan
     return CompetitionSpectrum(
         varsigma=varsigma,
@@ -312,6 +313,6 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
         mu=mu,
         q_coeffs=q,
         eigenvalues=eigs,
-        unstable=eigs.max_real_part() > tol,
+        unstable=eigs.max_real_part() > _band(max(abs(a) for a in q)),
         continuation_root=continuation,
     )

@@ -76,6 +76,12 @@ OPTION_VALUES = {
 }
 
 
+# OPTION_VALUES with draws that keep each simulate-* run to a few hundred steps on at most 32 grid points;
+# rk45 is left out because its step count grows with the stiffness of the drawn rates, not with the options.
+RUN_VALUES = {**OPTION_VALUES, "method": st.just("rk4"), "dt": log_uniform(1e-4, 1e-1),
+              "grid_points": st.integers(3, 32), "snapshots": st.integers(0, 3)}
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -232,8 +238,20 @@ class TestValidationAndDeterminism:
             (["equilibria", "--alpha", "-1"], "alpha"),
             (["simulate-ode", "--t-final", "inf"], "t_final"),
             (["simulate-pde", "--c", "1", "--d", "1", "--t-final", "inf"], "t_final"),
+            (["simulate-pde", "--snapshots", "-2"], "snapshots"),
+            (["simulate-ode", "--t-final", "1e300"], "t_final"),
+            (["dispersion", "--samples", "100000000000000000000"], "samples"),
+            (["sweep", "--samples", "100000000000000000000"], "samples"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "0"], "domain_length"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "inf"], "domain_length"),
+            (["simulate-ode", "--method", "rk45", "--rtol", "inf"], "rtol"),
+            (["simulate-ode", "--dt", "inf"], "dt"),
+            (["dispersion", "--mu-min", "-1"], "mu_min"),
+            (["dispersion", "--mu-max", "inf"], "finite"),
         ],
-        ids=["alpha", "ode-t_final-inf", "pde-t_final-inf"],
+        ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
+             "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
+             "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative", "dispersion-mu_max-inf"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
@@ -295,8 +313,11 @@ class TestValidationAndDeterminism:
             ("[options]\nsampels = 5\n", "unknown option 'sampels'"),
             ("[params]\nomega = 3\n", "unknown parameter 'omega'"),
             ("[params]\nalpha = 50%\n", "malformed config file"),
+            ("[params]\nalpha = abc\n", "config value alpha = 'abc' is not a valid float"),
+            ("[options]\nsamples = 1.5\n", "config value samples = '1.5' is not a valid int"),
         ],
-        ids=["no-section-header", "unknown-option", "unknown-parameter", "bad-interpolation"],
+        ids=["no-section-header", "unknown-option", "unknown-parameter", "bad-interpolation",
+             "non-float-parameter", "non-int-option"],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, message):
         cfg_path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
@@ -305,6 +326,51 @@ class TestValidationAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not out.exists()
+
+    def test_bug_is_not_a_validation_error(self, tmp_path, monkeypatch):
+        # Only ValidationError and NumericalFailure map to exit codes; any other exception is a bug.
+        def handler(cfg):
+            raise ValueError("internal bug")
+
+        monkeypatch.setitem(COMMANDS, "equilibria", (handler, {}))
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["equilibria", "--output", str(tmp_path / "e.csv")])
+
+    @pytest.mark.filterwarnings("ignore::fvw.errors.CFLWarning")
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, tmp_path, data):
+        # Every subcommand exits 0, 2 or 3 (an uncaught exception fails the test) over wide log-uniform
+        # rates, and a run that exits 0 writes only finite cells, apart from sweep's nan-by-contract columns.
+        out = tmp_path / "out.csv"
+        for command, (_handler, spec) in COMMANDS.items():
+            params = {name: data.draw(log_uniform(1e-6, 1e6), label=name) for name in RATES}
+            for name in ("c", "d"):
+                params[name] = data.draw(st.just(0.0) | log_uniform(1e-6, 1e6), label=name)
+            options = {name: data.draw(RUN_VALUES[name], label=name) for name in spec}
+            if "varsigma" in options:
+                options["varsigma"] *= params["epsilon"]
+            if command == "simulate-ode":
+                options["t_final"] = options["dt"] * data.draw(st.integers(1, 500), label="steps")
+            if command == "simulate-pde":
+                h = options["domain_length"] / options["grid_points"]
+                dmax = max(params["c"], params["d"])
+                step = min(options["dt"], h * h / (2.0 * dmax)) if dmax else options["dt"]
+                options["t_final"] = step * data.draw(st.integers(1, 200), label="steps")
+            argv = [command] + [
+                arg for name, value in {**params, **options}.items() if value is not None
+                for arg in (f"--{name.replace('_', '-')}", str(value))
+            ]
+            out.unlink(missing_ok=True)
+            code = main([*argv, "--output", str(out)])
+            assert code in (0, 2, 3), argv
+            assert out.exists() == (code == 0), argv
+            if code == 0:
+                header, rows = read_csv(out)
+                for row in rows:
+                    for column, cell in zip(header, row):
+                        if cell in ("nan", "inf", "-inf"):
+                            assert command == "sweep" and column in ("mu_threshold", "mu_star", "sigma_star"), argv
 
     def test_config_command_mismatch(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -79,6 +79,13 @@ class TestSolveCubic:
         for r in solve_cubic(p).roots:
             assert abs(p(r)) <= 1e-9 * (1.0 + abs(r) ** 3)
 
+    def test_negative_radicand_from_rounding(self):
+        # disc < 0, but r^2/4 + q^3/27 rounds below zero; the Cardano branch once raised "math domain error".
+        p = MonicCubic(57259175.823853254, 2235031.1553130466, 4.296795412226111e-14)
+        got = sorted(solve_cubic(p).roots, key=lambda z: (z.real, z.imag))
+        want = sorted(numpy_roots(p), key=lambda z: (z.real, z.imag))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9 * p.a2
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             solve_cubic(MonicCubic(np.nan, 0.0, 0.0))

@@ -225,6 +225,14 @@ class TestFindK0:
             signs = [phi(mu) > 0 for mu in grid]
             assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) <= 1
 
+    def test_large_root_terminates(self):
+        # Above ~1e4 floats are coarser than the bisection's 1e-12 width; the search once looped for ever here.
+        p = ModelParams(alpha=686.9, beta=174.3, gamma=6339.0, delta=0.002217, epsilon=0.000564,
+                        eta=903.0, zeta=322837.0, d=3.39)
+        mu = find_k0(p).mu_threshold
+        phi = phi_cubic(p)
+        assert mu > 1e5 and phi(mu * (1 - 1e-9)) < 0 < phi(mu * (1 + 1e-9))
+
     def test_degenerate_diffusion(self, unstable_params):
         with pytest.raises(DegenerateDiffusion):
             find_k0(unstable_params)
