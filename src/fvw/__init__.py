@@ -33,7 +33,6 @@ from .simulate import (
     IntegratorConfig,
     Trajectory,
     integrate_ode,
-    linearized_mode_system,
     simulate_pde,
     single_mode_field,
     uniform_field,

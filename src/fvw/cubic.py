@@ -1,14 +1,12 @@
 """Monic cubic polynomials: robust root solving and Routh-Hurwitz style verdicts.
 
-Everything here treats t^3 + a2 t^2 + a1 t + a0 with real coefficients. Roots
-are computed in closed form (trigonometric / Cardano on the depressed cubic)
-and polished with one-two Newton steps, which keeps full accuracy near
-multiple roots where the closed formulas alone lose digits.
+Everything here treats t^3 + a2 t^2 + a1 t + a0 with real coefficients. Every
+cubic takes one root-finding path (`solve_cubic`), which keeps small roots beside
+large ones to full relative accuracy.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from typing import NamedTuple, Optional
@@ -62,19 +60,29 @@ def _gap_verdict(p: MonicCubic) -> Verdict:
 
 
 def _newton_polish(p: MonicCubic, t: float) -> float:
+    """Up to two Newton steps, each kept only if |p(t)| does not grow: near a double
+    root p and p' are rounding noise and a step can leave the root altogether."""
+    pt = p(t)
     for _ in range(2):
         dp = p.derivative(t)
         if dp == 0.0:
             break
-        step = p(t) / dp
-        if not math.isfinite(step):
+        t_next = t - pt / dp
+        p_next = p(t_next)
+        if not abs(p_next) <= abs(pt):
             break
-        t -= step
+        t, pt = t_next, p_next
     return t
 
 
 def solve_cubic(p: MonicCubic) -> RootSet:
-    """All three roots; conjugate symmetry of complex pairs is enforced exactly."""
+    """All three roots; conjugate symmetry of complex pairs is enforced exactly.
+
+    One real root t comes from the depressed cubic (trigonometric or Cardano form;
+    the discriminant's sign only picks the start) and one Newton polish. The other
+    two solve z^2 - b z + c with c = r1 r2 = -a0/t and b = r1 + r2 taken from the
+    Vieta relation that does not cancel, by the stable quadratic formula.
+    """
     if not all(math.isfinite(a) for a in p):
         raise ValidationError("cubic coefficients must be finite")
     a2, a1, a0 = p
@@ -82,38 +90,30 @@ def solve_cubic(p: MonicCubic) -> RootSet:
     # Depressed cubic s^3 + q*s + r with t = s - shift.
     q = a1 - a2 * a2 / 3.0
     r = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    disc = -4.0 * q**3 - 27.0 * r * r
-
-    if q == 0.0 and r == 0.0:
-        t = -shift
-        return RootSet((complex(t), complex(t), complex(t)))
-
-    if disc >= 0.0:
-        # Three real roots (possibly repeated); q <= 0 here.
+    if -4.0 * q**3 - 27.0 * r * r >= 0.0:
+        # Three real roots (possibly repeated); start from the largest in magnitude.
         m = 2.0 * math.sqrt(max(-q / 3.0, 0.0))
         arg = 3.0 * r / (q * m) if q != 0.0 else 0.0
         theta = math.acos(min(1.0, max(-1.0, arg)))
-        reals = sorted(
-            _newton_polish(p, m * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift)
-            for k in range(3)
-        )
-        return RootSet(tuple(complex(t) for t in reals))
-
-    # One real root + conjugate pair; stable Cardano for the real root.
-    half_r = r / 2.0
-    root_term = math.sqrt(max(r * r / 4.0 + q**3 / 27.0, 0.0))  # >= 0 up to rounding when disc < 0
-    u = -half_r + root_term if half_r <= 0 else -half_r - root_term
-    u = math.copysign(abs(u) ** (1.0 / 3.0), u)
-    s_real = u + (-q / 3.0 / u if u != 0.0 else 0.0)
-    t_real = _newton_polish(p, s_real - shift)
-    # Deflate: remaining quadratic is t^2 + (a2 + t_real) t + (a1 + t_real (a2 + t_real)).
-    b = a2 + t_real
-    c = a1 + t_real * b
-    x = -b / 2.0
-    y2 = c - x * x
-    y = math.sqrt(y2) if y2 > 0.0 else 0.0
-    roots = sorted((complex(t_real), complex(x, -y), complex(x, y)), key=lambda z: (z.real, z.imag))
-    return RootSet(tuple(roots))
+        t = max((m * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)), key=abs)
+    else:
+        # One real root; stable Cardano.
+        half_r = r / 2.0
+        root_term = math.sqrt(max(r * r / 4.0 + q**3 / 27.0, 0.0))  # >= 0 up to rounding here
+        u = -half_r + root_term if half_r <= 0 else -half_r - root_term
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)
+        t = u + (-q / 3.0 / u if u != 0.0 else 0.0) - shift
+    t = _newton_polish(p, t)
+    # Product from a0 (a1 if t = 0); sum from a1 when |t| dominates sqrt|c|, else from a2.
+    c = -a0 / t if t != 0.0 else a1
+    h = ((a1 - c) / t if t * t > abs(c) else -a2 - t) / 2.0
+    if h * h >= c:
+        x = h + math.copysign(math.sqrt(h * h - c), h)
+        pair = (complex(x), complex(c / x if x != 0.0 else 0.0))
+    else:
+        y = math.sqrt(c - h * h)
+        pair = (complex(h, -y), complex(h, y))
+    return RootSet(tuple(sorted((complex(t), *pair), key=lambda z: (z.real, z.imag))))
 
 
 def hurwitz_negative(p: MonicCubic) -> Verdict:

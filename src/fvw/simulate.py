@@ -1,5 +1,5 @@
-"""Time integration: the reaction ODE system, the method-of-lines PDE on a 1D
-periodic domain, and the decoupled single-mode linearized system."""
+"""Time integration: the reaction ODE system and the method-of-lines PDE on a 1D
+periodic domain, started from uniform or single-mode fields."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from scipy.integrate import solve_ivp
 from .errors import CFLViolation, CFLWarning, StepFailure, ValidationError
 from .model import ModelParams, State, _reaction_terms, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
-from .stability import mode_matrix
 
 NEGATIVITY_TOL = -1e-9
 MAX_COUNT = 2**53  # most grid points, samples, snapshots or steps a run may ask for: 8 bytes each is 64 PiB
@@ -217,6 +216,8 @@ def simulate_pde(
 
     h = field0.domain_length / field0.grid_points
     bound = cfl_bound(h, p)
+    if bound == 0.0:
+        raise ValidationError(f"domain_length / grid_points = {h:.6g} makes the diffusion CFL bound underflow to 0")
     dt = cfg.dt
     if dt > bound:
         if not clamp:
@@ -245,13 +246,6 @@ def simulate_pde(
             raise StepFailure(f"fields became non-finite by the snapshot at t={t:.17g}")
         snapshots.append(FieldState(field0.domain_length, *(u.copy() for u in y), time=t))
     return snapshots
-
-
-def linearized_mode_system(p: ModelParams, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sine and cosine amplitude blocks of the linearized single-mode system,
-    returned as a pair; both equal the mode matrix A(mu) (the blocks decouple)."""
-    A = mode_matrix(p, mu)
-    return A, A.copy()
 
 
 def write_snapshots_csv(snapshots: Sequence[FieldState], path) -> None:

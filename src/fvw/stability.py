@@ -196,12 +196,12 @@ class WaveTrain:
     span_basis: tuple[np.ndarray, np.ndarray]  # (Re X*, Im X*)
 
 
-def _inverse_iteration(A: np.ndarray, shift: complex, seed: np.ndarray) -> np.ndarray:
+def _inverse_iteration(A: np.ndarray, shift: complex) -> np.ndarray:
     """Eigenvector for the eigenvalue nearest `shift` via shifted inverse iteration
-    with deterministic phase normalization."""
+    from the all-ones vector, with deterministic phase normalization."""
     n = A.shape[0]
     B = A.astype(complex) - shift * np.eye(n)
-    x = seed.astype(complex)
+    x = np.ones(n, dtype=complex)
     x /= np.linalg.norm(x)
     for _ in range(4):
         try:
@@ -227,7 +227,7 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
     poly = dispersion_coefficients(p, mu)
     sigma = math.sqrt(poly.a1)
     A = mode_matrix(p, mu)
-    x = _inverse_iteration(A, 1j * sigma, np.ones(3))
+    x = _inverse_iteration(A, 1j * sigma)
     return WaveTrain(
         mu_star=mu,
         sigma_star=sigma,
@@ -241,7 +241,7 @@ def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
     """Real unit eigenvector of A(mu) for its real eigenvalue closest to -a2(mu)."""
     A = mode_matrix(p, mu)
     poly = dispersion_coefficients(p, mu)
-    w = _inverse_iteration(A, complex(-poly.a2), np.ones(3))
+    w = _inverse_iteration(A, complex(-poly.a2))
     return w.real / np.linalg.norm(w.real)
 
 

@@ -15,19 +15,20 @@ from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_conf
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
 
 
-# sha256 of each subcommand's CSV as written by the per-command writers that the
-# shared CSV writer replaced; any change to a digit, a cell rule or a row order shows here.
+# sha256 of each subcommand's CSV; any change to a digit, a cell rule or a row order shows here.
+# The dispersion and competition digests follow the one-path cubic solver; against
+# mpmath.polyroots their eigenvalue columns lost no accuracy in the worst row or in the sum.
 CSV_DIGESTS = [
     (["equilibria", "--alpha", "2", "--epsilon", "0.1"],
      "497c501693b4a9784b9771c92469a7306e4e6a9ec41a3335da0628f638a678d4"),
     (["stability", *UNSTABLE_FLAGS],
      "ec9a7e1ef0cb0a6a823ade7890c372c160f290f8b1df4cb7d812feeca37f1897"),
     (["dispersion", *UNSTABLE_FLAGS, "--mu-max", "2", "--samples", "51"],
-     "c81168b7e02bbed294f28fc56ed1af7dce19a9e0bee2a73de38cc899b4213654"),
+     "1802aff15f033ee57a281e8ba280febe58a8c85457744c160e665c2d4f6d58ad"),
     (["wavetrain", *UNSTABLE_FLAGS],
      "d9145726eb90b5ef7f7784049060787056054ec483787c961479b5154cdd301b"),
     (["competition", "--gamma", "0.01", "--c", "1", "--d", "1", "--mu", "0.01", "--varsigma", "0.5"],
-     "374155b5a3f62f9516bd9038d9422bdb8a1dd043e9a7cff826cd58f3355bd9c2"),
+     "62222571e9b82e4dff18c0608837f571fd2327e4c3f5c6b624f3a6b7ba24ed3f"),
     (["simulate-ode", "--f0", "1", "--v0", "1", "--w0", "0.5", "--dt", "0.1", "--t-final", "2"],
      "d33d5e35d48a75778814d345780039068116491d7852fa0fcded2e6190716e3d"),
     (["simulate-pde", "--c", "1", "--d", "1", "--grid-points", "16", "--t-final", "0.2",
@@ -140,6 +141,21 @@ class TestDispersionCommand:
         assert len(changes) == 1
         assert changes[0][0] < 0.1374128 < changes[0][1] + 1e-12
 
+    def test_no_stable_row_with_growing_mode(self, tmp_path):
+        # a2 ~ 4e6 beside a0 ~ 3e-15: deflating forward from the large root cancels and gives the
+        # small pair a large positive real part on rows whose Hurwitz verdict reads stable.
+        out = tmp_path / "disp.csv"
+        rates = {"alpha": "72421.12358245267", "beta": "9.405557796952751e-05", "gamma": "1.4937012015611743e-05",
+                 "delta": "0.016150090906367515", "epsilon": "0.0390335893711053", "eta": "6110.267743067677",
+                 "zeta": "0.00024357306116884738", "c": "90794.80642741422", "d": "0"}
+        argv = ["dispersion", *(x for name, value in rates.items() for x in (f"--{name}", value)),
+                "--mu-min", "0.33073717051097673", "--mu-max", "832.3438934452524", "--samples", "892"]
+        assert main([*argv, "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 892
+        stable, max_re = header.index("stable"), header.index("max_re_eig")
+        assert not [r for r in rows if r[stable] == "true" and float(r[max_re]) > 0.0]
+
 
 class TestSweepCommand:
     def test_alpha_sweep_single_crossing(self, tmp_path):
@@ -244,6 +260,7 @@ class TestValidationAndDeterminism:
             (["sweep", "--samples", "100000000000000000000"], "samples"),
             (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "0"], "domain_length"),
             (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "inf"], "domain_length"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "1e-300"], "domain_length"),
             (["simulate-ode", "--method", "rk45", "--rtol", "inf"], "rtol"),
             (["simulate-ode", "--dt", "inf"], "dt"),
             (["dispersion", "--mu-min", "-1"], "mu_min"),
@@ -251,7 +268,8 @@ class TestValidationAndDeterminism:
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
-             "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative", "dispersion-mu_max-inf"],
+             "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
+             "dispersion-mu_max-inf"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"

@@ -1,16 +1,24 @@
 import cmath
+import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fvw import (
     HypothesisViolated,
+    ModelParams,
     MonicCubic,
     Verdict,
+    dispersion_coefficients,
     hurwitz_negative,
     imaginary_root_factorization,
     solve_cubic,
 )
+from fvw.cubic import _gap_verdict
 
 
 def numpy_roots(p: MonicCubic):
@@ -79,6 +87,13 @@ class TestSolveCubic:
         for r in solve_cubic(p).roots:
             assert abs(p(r)) <= 1e-9 * (1.0 + abs(r) ** 3)
 
+    def test_double_root_largest_in_magnitude(self):
+        # (t + 4)^2 (t + 1): the three-real-root start is the double root, where p and p' are
+        # rounding noise and an unguarded Newton step leaves the root.
+        roots = solve_cubic(MonicCubic(9.0, 24.0, 16.0)).roots
+        for got, want in zip(roots, (-4.0, -4.0, -1.0)):
+            assert abs(got - want) <= 1e-7
+
     def test_negative_radicand_from_rounding(self):
         # disc < 0, but r^2/4 + q^3/27 rounds below zero; the Cardano branch once raised "math domain error".
         p = MonicCubic(57259175.823853254, 2235031.1553130466, 4.296795412226111e-14)
@@ -89,6 +104,19 @@ class TestSolveCubic:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             solve_cubic(MonicCubic(np.nan, 0.0, 0.0))
+
+    @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=10, max_size=10))
+    def test_dispersion_roots_match_mpmath(self, draws):
+        names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
+        poly = dispersion_coefficients(ModelParams(**dict(zip(names, draws))), draws[-1])
+        got = solve_cubic(poly).roots
+        with mpmath.workdps(60):
+            want = [complex(z) for z in mpmath.polyroots([1, *poly], maxsteps=200, extraprec=200)]
+        assert min(max(abs(g - w) / abs(w) for g, w in zip(order, want))
+                   for order in itertools.permutations(got)) <= 1e-12
+        verdict = _gap_verdict(poly)
+        if verdict is not Verdict.MARGINAL:
+            assert (max(z.real for z in got) < 0.0) == (verdict is Verdict.ALL_NEGATIVE_REAL_PART)
 
 
 class TestHurwitz:

@@ -14,8 +14,6 @@ from fvw import (
     all_ones,
     coexistence_state,
     integrate_ode,
-    linearized_mode_system,
-    mode_matrix,
     simulate_pde,
     single_mode_field,
     uniform_field,
@@ -277,20 +275,3 @@ class TestSimulatePde:
         snap.write_csv(single)
         write_snapshots_csv([snap], many)
         assert single.read_bytes() == many.read_bytes()
-
-
-class TestLinearizedModeSystem:
-    def test_blocks_equal_mode_matrix(self, unstable_diffusive_params):
-        sin_block, cos_block = linearized_mode_system(unstable_diffusive_params, 0.7)
-        A = mode_matrix(unstable_diffusive_params, 0.7)
-        assert np.array_equal(sin_block, A)
-        assert np.array_equal(cos_block, A)
-        assert sin_block is not cos_block
-
-    def test_equal_initial_data_evolves_equally(self, unstable_diffusive_params):
-        from scipy.linalg import expm
-
-        sin_block, cos_block = linearized_mode_system(unstable_diffusive_params, 0.7)
-        y0 = np.array([1.0, -0.5, 0.25])
-        for t in (0.5, 2.0):
-            assert np.allclose(expm(sin_block * t) @ y0, expm(cos_block * t) @ y0)
