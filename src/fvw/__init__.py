@@ -6,7 +6,6 @@ from .cubic import MonicCubic, RootSet, Verdict, hurwitz_negative, imaginary_roo
 from .errors import (
     CFLViolation,
     CFLWarning,
-    DefectiveMatrixWarning,
     DegenerateDiffusion,
     HypothesisViolated,
     NoWaveTrain,

@@ -218,9 +218,10 @@ def cmd_kernel_moments(cfg: RunConfig) -> list[str]:
     opts = cfg.options
     if opts["kernel"] not in _KERNELS:
         raise ValidationError(f"unknown kernel {opts['kernel']!r}; choose from {sorted(_KERNELS)}")
-    if opts["scale"] <= 0:
-        raise ValidationError("scale must be positive")
-    k0 = _KERNELS[opts["kernel"]](opts["scale"])
+    scale = opts["scale"]
+    if not (scale > 0 and math.isfinite((1.0 / scale) * (1.0 / scale))):  # the Gaussian squares r / scale, r >= 1
+        raise ValidationError(f"scale must be positive with (1 / scale)**2 finite, got {scale}")
+    k0 = _KERNELS[opts["kernel"]](scale)
     result = kernels.kernel_moments(k0, opts["dimension"], opts["j_max"])
     constants = kernels.pizzetti_constants(opts["dimension"], opts["j_max"])
     rows = [[j, constants[j], ell] for j, ell in enumerate(result.moments)]
@@ -238,11 +239,11 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
         p = dataclasses.replace(cfg.params, **{axis: float(value)})
         verdict = stability.classify_equilibrium("E1", p)
         has_diffusion = p.c > 0 or p.d > 0
-        mu_threshold = stability.find_k0(p).mu_threshold if has_diffusion else math.nan
         if has_diffusion and verdict.upsilon < 0:
-            wt = stability.find_wavetrain(p)
-            mu_star, sigma_star = wt.mu_star, wt.sigma_star
+            wt = stability.find_wavetrain(p)  # the wave train is the threshold mode
+            mu_threshold, mu_star, sigma_star = wt.mu_star, wt.mu_star, wt.sigma_star
         else:
+            mu_threshold = stability.find_k0(p).mu_threshold if has_diffusion else math.nan
             mu_star = sigma_star = math.nan
         rows.append([value, verdict.upsilon, verdict.classification.value, mu_threshold, mu_star, sigma_star])
     header = [axis, "upsilon", "classification", "mu_threshold", "mu_star", "sigma_star"]

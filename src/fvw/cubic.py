@@ -93,7 +93,7 @@ def solve_cubic(p: MonicCubic) -> RootSet:
     if -4.0 * q**3 - 27.0 * r * r >= 0.0:
         # Three real roots (possibly repeated); start from the largest in magnitude.
         m = 2.0 * math.sqrt(max(-q / 3.0, 0.0))
-        arg = 3.0 * r / (q * m) if q != 0.0 else 0.0
+        arg = 3.0 * r / (q * m) if q * m != 0.0 else 0.0
         theta = math.acos(min(1.0, max(-1.0, arg)))
         t = max((m * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)), key=abs)
     else:

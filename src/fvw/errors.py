@@ -34,7 +34,7 @@ class CFLViolation(NumericalFailure):
 
 
 class StepFailure(NumericalFailure):
-    """Adaptive integrator failed to advance (step size underflow)."""
+    """Time stepping failed: the adaptive step size underflowed, or an RK4 (ODE or PDE) state went non-finite."""
 
 
 class SlowDecay(NumericalFailure):
@@ -43,7 +43,3 @@ class SlowDecay(NumericalFailure):
 
 class CFLWarning(UserWarning):
     """Time step was clamped down to the diffusion stability bound."""
-
-
-class DefectiveMatrixWarning(UserWarning):
-    """Eigenbasis ill-conditioned; fell back to a dense matrix exponential."""

@@ -48,7 +48,10 @@ class KernelMoments:
     moments: list[float]  # ell_0 .. ell_{j_max}
 
 
-def truncation_radius(K0: Callable[[float], float], max_radius: float = 1e8) -> float:
+MAX_RADIUS = 1e8  # a kernel not negligible by this radius decays too slowly to truncate
+
+
+def truncation_radius(K0: Callable[[float], float]) -> float:
     """Radius beyond which the kernel is negligible (below 1e-16 of K0(0))."""
     k0 = K0(0.0)
     if not k0 > 0:
@@ -56,18 +59,16 @@ def truncation_radius(K0: Callable[[float], float], max_radius: float = 1e8) -> 
     r = 1.0
     while K0(r) >= 1e-16 * k0:
         r *= 2.0
-        if r > max_radius:
-            raise SlowDecay(f"kernel has not decayed below 1e-16*K0(0) by radius {max_radius}")
+        if r > MAX_RADIUS:
+            raise SlowDecay(f"kernel has not decayed below 1e-16*K0(0) by radius {MAX_RADIUS}")
     return r
 
 
-def kernel_moments(
-    K0: Callable[[float], float], n: int, j_max: int, max_radius: float = 1e8
-) -> KernelMoments:
+def kernel_moments(K0: Callable[[float], float], n: int, j_max: int) -> KernelMoments:
     """Moments ell_j = C_{n,j} * integral of rho^(n-1+2j) K0(rho) over (0, inf),
     computed by adaptive quadrature on a truncated range."""
     constants = pizzetti_constants(n, j_max)
-    r_max = truncation_radius(K0, max_radius)
+    r_max = truncation_radius(K0)
     moments = []
     for j, c in enumerate(constants):
         power = n - 1 + 2 * j

@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .cubic import MonicCubic, RootSet, Verdict, _band, _gap, _gap_verdict, hurwitz_negative, solve_cubic
-from .errors import DefectiveMatrixWarning, DegenerateDiffusion, NoWaveTrain, ValidationError, VarsigmaOutOfRange
+from .cubic import (
+    MonicCubic, RootSet, Verdict, _band, _gap, _gap_verdict, hurwitz_negative, imaginary_root_factorization, solve_cubic,
+)
+from .errors import DegenerateDiffusion, NoWaveTrain, ValidationError, VarsigmaOutOfRange
 from .model import ModelParams, coexistence_state, jacobian
 
 
@@ -176,7 +177,7 @@ def find_k0(p: ModelParams) -> DiffusionThreshold:
     """Smallest mu beyond which every higher-frequency mode is linearly stable,
     reported together with the wavenumber k0 = sqrt(mu)."""
     if p.c == 0.0 and p.d == 0.0:
-        raise DegenerateDiffusion("find_k0 requires c > 0 or d > 0")
+        raise DegenerateDiffusion("the diffusion threshold and wave trains require c > 0 or d > 0")
     phi = phi_cubic(p)
     if phi.b0 >= 0.0:
         return DiffusionThreshold(0.0, 0.0)
@@ -217,22 +218,22 @@ def _inverse_iteration(A: np.ndarray, shift: complex) -> np.ndarray:
 
 def find_wavetrain(p: ModelParams) -> WaveTrain:
     """Construct the wave train arising when the coexistence equilibrium is
-    unstable (upsilon < 0) and diffusion is present."""
-    phi = phi_cubic(p)
-    if phi.b0 >= 0.0:
+    unstable (upsilon < 0) and diffusion is present. It is the threshold mode:
+    mu* is `find_k0`'s mu_threshold, where Phi vanishes and A(mu*) factors as
+    (lambda^2 + a1)(lambda + a2), so sigma* and the decay eigenvalue are
+    `imaginary_root_factorization`'s sqrt(a1) and -a2."""
+    if phi_cubic(p).b0 >= 0.0:
         raise NoWaveTrain("no wave train: Upsilon >= 0")
-    if p.c == 0.0 and p.d == 0.0:
-        raise DegenerateDiffusion("wave trains require c > 0 or d > 0")
-    mu = _phi_positive_root(phi)
-    poly = dispersion_coefficients(p, mu)
-    sigma = math.sqrt(poly.a1)
-    A = mode_matrix(p, mu)
-    x = _inverse_iteration(A, 1j * sigma)
+    mu = find_k0(p).mu_threshold
+    fact = imaginary_root_factorization(dispersion_coefficients(p, mu))
+    if fact is None:
+        raise NoWaveTrain(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
+    x = _inverse_iteration(mode_matrix(p, mu), 1j * fact.sigma)
     return WaveTrain(
         mu_star=mu,
-        sigma_star=sigma,
+        sigma_star=fact.sigma,
         eigvec=x,
-        decay_eigenvalue=-poly.a2,
+        decay_eigenvalue=fact.real_root,
         span_basis=(x.real.copy(), x.imag.copy()),
     )
 
@@ -246,24 +247,9 @@ def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
 
 
 def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a single-mode amplitude theta(t) = e^{A(mu) t} theta(0).
-
-    Uses the eigenbasis of A(mu); if that basis is ill-conditioned the
-    computation falls back to a dense scaling-and-squaring exponential and a
-    DefectiveMatrixWarning is issued.
-    """
-    A = mode_matrix(p, mu)
-    theta0 = np.asarray(theta0, dtype=complex)
-    lam, V = np.linalg.eig(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e12:
-        warnings.warn(
-            f"mode matrix eigenbasis condition number {cond:.3g}; using dense exponential",
-            DefectiveMatrixWarning,
-        )
-        return scipy.linalg.expm(A * t) @ theta0
-    coeffs = np.linalg.solve(V, theta0)
-    return V @ (np.exp(lam * t) * coeffs)
+    """Evolve a single-mode amplitude theta(t) = e^{A(mu) t} theta(0) by the
+    scaling-and-squaring exponential of A(mu) t."""
+    return scipy.linalg.expm(mode_matrix(p, mu) * t) @ theta0
 
 
 def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:

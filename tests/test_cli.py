@@ -265,11 +265,12 @@ class TestValidationAndDeterminism:
             (["simulate-ode", "--dt", "inf"], "dt"),
             (["dispersion", "--mu-min", "-1"], "mu_min"),
             (["dispersion", "--mu-max", "inf"], "finite"),
+            (["kernel-moments", "--scale", "1e-300"], "scale"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
              "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
-             "dispersion-mu_max-inf"],
+             "dispersion-mu_max-inf", "kernel-scale-1e-300"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"

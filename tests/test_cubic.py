@@ -105,6 +105,12 @@ class TestSolveCubic:
         with pytest.raises(ValueError):
             solve_cubic(MonicCubic(np.nan, 0.0, 0.0))
 
+    def test_underflowing_trigonometric_start(self):
+        # q * m underflows to 0 in the three-real-root start.
+        roots = solve_cubic(MonicCubic(0.0, -1e-250, 0.0)).roots
+        for got, want in zip(roots, (-1e-125, 0.0, 1e-125)):
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=10, max_size=10))
     def test_dispersion_roots_match_mpmath(self, draws):
         names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")

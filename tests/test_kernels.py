@@ -62,7 +62,7 @@ class TestKernelMoments:
 
     def test_slow_decay_detection(self):
         with pytest.raises(SlowDecay):
-            kernel_moments(lambda r: 1.0 / (1.0 + r), 1, 1, max_radius=1e4)
+            kernel_moments(lambda r: 1.0 / (1.0 + r), 1, 1)
 
     def test_truncation_radius_gaussian(self):
         r = truncation_radius(lambda x: math.exp(-x * x))

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fvw import (
     Classification,
@@ -18,6 +21,7 @@ from fvw import (
     dispersion_curve,
     find_k0,
     find_wavetrain,
+    imaginary_root_factorization,
     jacobian,
     mode_attraction,
     mode_matrix,
@@ -295,8 +299,31 @@ class TestWaveTrain:
             resid = np.linalg.norm(A @ wt.eigvec - 1j * wt.sigma_star * wt.eigvec)
             assert resid <= 1e-8
 
+    @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=9, max_size=9))
+    def test_threshold_mode_is_the_wave_train(self, draws):
+        names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
+        p = ModelParams(**dict(zip(names, draws)))
+        assume(upsilon(p) < 0)
+        wt = find_wavetrain(p)
+        assert wt.mu_star == find_k0(p).mu_threshold
+        fact = imaginary_root_factorization(dispersion_coefficients(p, wt.mu_star))
+        assert (wt.sigma_star, wt.decay_eigenvalue) == (fact.sigma, fact.real_root)
+
 
 class TestModeAttraction:
+    def test_matches_mpmath_expm(self):
+        rng = np.random.default_rng(67)
+        with mpmath.workdps(40):
+            for _ in range(5):
+                p = draw_unstable_diffusive(rng)
+                wt = find_wavetrain(p)
+                A = mpmath.matrix(mode_matrix(p, wt.mu_star).tolist())
+                theta0 = rng.normal(size=3)
+                for t in (0.1, 1.0, 10.0, 100.0):
+                    t = t / wt.sigma_star
+                    want = np.array((mpmath.expm(A * t) * mpmath.matrix(theta0.tolist())).tolist(), dtype=float)[:, 0]
+                    got = mode_attraction(p, wt.mu_star, theta0, t)
+                    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     def test_eigenvector_rotates_with_constant_norm(self, unstable_diffusive_params):
         p = unstable_diffusive_params
         wt = find_wavetrain(p)
