@@ -51,9 +51,9 @@ def _gap(p: MonicCubic) -> float:
     return p.a1 * p.a2 - p.a0
 
 
-def _gap_verdict(p: MonicCubic) -> Verdict:
-    """Sign of the Routh-Hurwitz gap, MARGINAL inside the band; coefficient signs unchecked."""
-    gap = _gap(p)
+def _gap_verdict(p: MonicCubic, gap: float) -> Verdict:
+    """Sign of p's Routh-Hurwitz gap as the caller computed it (`_gap(p)`, or Phi(mu) from
+    `phi_cubic` for a mode cubic), MARGINAL inside p's band; coefficient signs unchecked."""
     if abs(gap) <= _band(p.a1 * p.a2, p.a0):  # the marginal band around a1*a2 == a0
         return Verdict.MARGINAL
     return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART
@@ -79,17 +79,25 @@ def solve_cubic(p: MonicCubic) -> RootSet:
     """All three roots; conjugate symmetry of complex pairs is enforced exactly.
 
     One real root t comes from the depressed cubic (trigonometric or Cardano form;
-    the discriminant's sign only picks the start) and one Newton polish. The other
-    two solve z^2 - b z + c with c = r1 r2 = -a0/t and b = r1 + r2 taken from the
-    Vieta relation that does not cancel, by the stable quadratic formula.
+    the discriminant's sign only picks the start) and one Newton polish. Where the
+    depressed cubic's q^3 or r^2 would leave the float range, that start and polish
+    work on the cubic in t / 2^e, for an exact power of two. The other two roots solve
+    z^2 - b z + c with c = r1 r2 = -a0/t and b = r1 + r2 taken from the Vieta relation
+    of the original coefficients that does not cancel, by the stable quadratic formula.
     """
     if not all(math.isfinite(a) for a in p):
         raise ValidationError("cubic coefficients must be finite")
     a2, a1, a0 = p
-    shift = a2 / 3.0
-    # Depressed cubic s^3 + q*s + r with t = s - shift.
-    q = a1 - a2 * a2 / 3.0
-    r = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
+    # e: binary exponent of the root-size bound max(|a2|, |a1|^(1/2), |a0|^(1/3)); q^3 and r^2
+    # scale as 2^(6e), which stays inside the float range for |e| <= 160.
+    e = max((-(-math.frexp(a)[1] // k) for k, a in enumerate(p, 1) if a != 0.0), default=0)
+    e = e if abs(e) > 160 else 0
+    scaled = MonicCubic(math.ldexp(a2, -e), math.ldexp(a1, -2 * e), math.ldexp(a0, -3 * e))
+    b2, b1, b0 = scaled
+    shift = b2 / 3.0
+    # Depressed cubic s^3 + q*s + r with t / 2^e = s - shift.
+    q = b1 - b2 * b2 / 3.0
+    r = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
     if -4.0 * q**3 - 27.0 * r * r >= 0.0:
         # Three real roots (possibly repeated); start from the largest in magnitude.
         m = 2.0 * math.sqrt(max(-q / 3.0, 0.0))
@@ -103,9 +111,15 @@ def solve_cubic(p: MonicCubic) -> RootSet:
         u = -half_r + root_term if half_r <= 0 else -half_r - root_term
         u = math.copysign(abs(u) ** (1.0 / 3.0), u)
         t = u + (-q / 3.0 / u if u != 0.0 else 0.0) - shift
-    t = _newton_polish(p, t)
-    # Product from a0 (a1 if t = 0); sum from a1 when |t| dominates sqrt|c|, else from a2.
-    c = -a0 / t if t != 0.0 else a1
+    t = math.ldexp(_newton_polish(scaled, t), e)
+    # Product from a0 (a1 if t = 0); sum from a1 when |t| dominates sqrt|c|, else from a2. A real
+    # root far below a complex pair keeps the start's absolute error, near eps |pair|, through the
+    # polish; the product then comes from the large end, a1 + t (a2 + t), and t from a0 / c.
+    c = a1 + t * (a2 + t)
+    if t * t < 2.0**-52 * abs(c):
+        t = -a0 / c
+    else:
+        c = -a0 / t if t != 0.0 else a1
     h = ((a1 - c) / t if t * t > abs(c) else -a2 - t) / 2.0
     if h * h >= c:
         x = h + math.copysign(math.sqrt(h * h - c), h)
@@ -121,7 +135,7 @@ def hurwitz_negative(p: MonicCubic) -> Verdict:
     left half plane iff a1*a2 > a0 (strictly, outside the marginal band)."""
     if not (p.a0 > 0.0 and p.a1 > 0.0 and p.a2 > 0.0):
         raise HypothesisViolated(f"hurwitz_negative requires positive coefficients, got {tuple(p)}")
-    return _gap_verdict(p)
+    return _gap_verdict(p, _gap(p))
 
 
 class ImaginaryRootFactorization(NamedTuple):
@@ -132,7 +146,7 @@ class ImaginaryRootFactorization(NamedTuple):
 def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactorization]:
     """If a1 > 0 and a1*a2 == a0 (within tolerance), the cubic factors as
     (t^2 + a1)(t + a2); returns (sqrt(a1), -a2) in that case, None otherwise."""
-    if p.a1 <= 0.0 or _gap_verdict(p) is not Verdict.MARGINAL:
+    if p.a1 <= 0.0 or _gap_verdict(p, _gap(p)) is not Verdict.MARGINAL:
         return None
     sigma = math.sqrt(p.a1)
     # Factorization residual check at the imaginary root.

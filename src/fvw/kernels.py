@@ -18,7 +18,10 @@ from .errors import SlowDecay, ValidationError
 
 def sphere_surface_area(n: int) -> float:
     """Surface area of the unit sphere boundary in R^n (2 for n=1, 2*pi for n=2, ...)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise ValidationError(f"dimension n = {n} is too large: Gamma(n/2) leaves the float range") from None
 
 
 def pizzetti_constants(n: int, j_max: int) -> list[float]:
@@ -72,8 +75,13 @@ def kernel_moments(K0: Callable[[float], float], n: int, j_max: int) -> KernelMo
     moments = []
     for j, c in enumerate(constants):
         power = n - 1 + 2 * j
-        integral, _ = quad(
-            lambda rho: rho**power * K0(rho), 0.0, r_max, epsrel=1e-10, epsabs=1e-14, limit=200
-        )
+        try:
+            integral, _ = quad(
+                lambda rho: rho**power * K0(rho), 0.0, r_max, epsrel=1e-10, epsabs=1e-14, limit=200
+            )
+        except OverflowError:
+            raise ValidationError(
+                f"dimension n = {n} is too large for this kernel's scale: rho**{power} overflows on [0, {r_max:g}]"
+            ) from None
         moments.append(c * integral)
     return KernelMoments(dimension=n, moments=moments)

@@ -26,11 +26,10 @@ _RATE_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable bundle of reaction rates and diffusion/competition coefficients.
+    """Immutable bundle of reaction rates and diffusion coefficients.
 
     All seven reaction rates must be strictly positive; the diffusion
-    coefficients c, d and the competition coefficient ell must be nonnegative
-    (c = d = 0 recovers the pure ODE system).
+    coefficients c, d must be nonnegative (c = d = 0 recovers the pure ODE system).
     """
 
     alpha: float
@@ -42,14 +41,13 @@ class ModelParams:
     zeta: float
     c: float = 0.0
     d: float = 0.0
-    ell: float = 0.0
 
     def __post_init__(self):
         for name in _RATE_NAMES:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"rate {name!r} must be a positive finite real, got {value}")
-        for name in ("c", "d", "ell"):
+        for name in ("c", "d"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"coefficient {name!r} must be a nonnegative finite real, got {value}")

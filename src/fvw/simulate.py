@@ -204,10 +204,9 @@ def simulate_pde(
 
     The time step is clamped to the diffusion CFL bound (with a CFLWarning)
     unless clamp=False, in which case violating the bound raises CFLViolation.
-    The first snapshot with a non-finite field raises StepFailure.
+    The fields are checked every 16 steps and at each snapshot; the first check that
+    finds a non-finite value raises StepFailure naming its time.
     """
-    if p.ell != 0.0:
-        raise ValidationError("the nonlinear competition PDE (ell != 0) is not simulated")
     if cfg.method != "rk4":
         raise ValidationError("simulate_pde uses fixed-step explicit integration (method 'rk4')")
     times = sorted(float(t) for t in snapshot_times)
@@ -239,11 +238,12 @@ def simulate_pde(
         n_steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         step = span / n_steps if n_steps else 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
-            for _ in range(n_steps):
+            for i in range(1, n_steps + 1):
                 y = _rk4_step(rhs, y, step)
+                # A scan of the three fields costs ~4 % of an N = 256 step; every 16th step it is noise.
+                if (i % 16 == 0 or i == n_steps) and not all(np.isfinite(u).all() for u in y):
+                    raise StepFailure(f"fields became non-finite at t={t + i * step:.17g}")
         t = target
-        if not all(np.isfinite(u).all() for u in y):
-            raise StepFailure(f"fields became non-finite by the snapshot at t={t:.17g}")
         snapshots.append(FieldState(field0.domain_length, *(u.copy() for u in y), time=t))
     return snapshots
 

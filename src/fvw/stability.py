@@ -13,10 +13,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cubic import (
-    MonicCubic, RootSet, Verdict, _band, _gap, _gap_verdict, hurwitz_negative, imaginary_root_factorization, solve_cubic,
-)
-from .errors import DegenerateDiffusion, NoWaveTrain, ValidationError, VarsigmaOutOfRange
+from .cubic import MonicCubic, RootSet, Verdict, _band, _gap_verdict, imaginary_root_factorization, solve_cubic
+from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
 from .model import ModelParams, coexistence_state, jacobian
 
 
@@ -74,7 +72,7 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     if which != "E1":
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     poly = dispersion_coefficients(p, 0.0)
-    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly)], solve_cubic(poly))
+    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly, phi_cubic(p).b0)], solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -105,6 +103,8 @@ class PhiCubic(NamedTuple):
 
 
 def phi_cubic(p: ModelParams) -> PhiCubic:
+    """The one source of Phi(mu): its coefficients come from the coexistence-state terms, with
+    b0 = delta zeta v* w* Upsilon, so Phi(mu) carries none of the cancellation of a1 a2 - a0."""
     _, _, _, s, fire_veg, veg_water = _coexistence_terms(p)
     b3 = p.c * p.d * (p.c + p.d)
     b2 = p.c * (p.c + 2.0 * p.d) * s
@@ -124,21 +124,29 @@ class DispersionSample:
     stable: bool
 
 
+def _check_phi_finite(phi: PhiCubic, *values: float) -> None:
+    if not all(math.isfinite(x) for x in values):
+        raise NumericalFailure(f"Phi(mu) is not finite: its coefficients {tuple(phi)} leave the float range")
+
+
 def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[DispersionSample]:
-    """Sample the mode spectrum over a grid of squared wavenumbers."""
+    """Sample the mode spectrum over a grid of squared wavenumbers; phi and the verdict
+    come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure."""
+    phi = phi_cubic(p)
     out = []
-    for mu in mu_grid:
+    for mu in map(float, mu_grid):  # a numpy scalar would warn on inf * 0 before the check below
         poly = dispersion_coefficients(p, mu)
-        verdict = hurwitz_negative(poly)
+        gap = phi(mu)
+        _check_phi_finite(phi, gap)
         out.append(
             DispersionSample(
-                mu=float(mu),
+                mu=mu,
                 a2=poly.a2,
                 a1=poly.a1,
                 a0=poly.a0,
-                phi=_gap(poly),
+                phi=gap,
                 eigenvalues=solve_cubic(poly),
-                stable=verdict is Verdict.ALL_NEGATIVE_REAL_PART,
+                stable=_gap_verdict(poly, gap) is Verdict.ALL_NEGATIVE_REAL_PART,
             )
         )
     return out
@@ -181,6 +189,7 @@ def find_k0(p: ModelParams) -> DiffusionThreshold:
     phi = phi_cubic(p)
     if phi.b0 >= 0.0:
         return DiffusionThreshold(0.0, 0.0)
+    _check_phi_finite(phi, *phi)
     mu = _phi_positive_root(phi)
     return DiffusionThreshold(mu, math.sqrt(mu))
 
@@ -239,11 +248,19 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
 
 
 def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
-    """Real unit eigenvector of A(mu) for its real eigenvalue closest to -a2(mu)."""
-    A = mode_matrix(p, mu)
+    """Real unit eigenvector of A(mu) for its real eigenvalue closest to -a2(mu): inverse
+    iteration is shifted by that eigenvalue, a real root of `solve_cubic`, then twice more by
+    the Rayleigh quotient of its result. At the wave train's mu* the eigenvalue is -a2(mu*)
+    itself, the decay eigenvalue."""
     poly = dispersion_coefficients(p, mu)
-    w = _inverse_iteration(A, complex(-poly.a2))
-    return w.real / np.linalg.norm(w.real)
+    lam = min((r.real for r in solve_cubic(poly).roots if r.imag == 0.0), key=lambda r: abs(r + poly.a2))
+    A = mode_matrix(p, mu)
+    # The root is as accurate as the cubic's coefficients allow, which beside a near-double
+    # eigenvalue of A does not separate the pair; the Rayleigh quotient is A's own estimate.
+    for _ in range(3):
+        w = _inverse_iteration(A, complex(lam)).real
+        lam = w @ A @ w
+    return w / np.linalg.norm(w)
 
 
 def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> np.ndarray:
@@ -261,7 +278,7 @@ def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:
 
 def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray:
     """Mode matrix with nonlocal plant competition: the vegetation diagonal
-    entry is shifted by varsigma = ell * mu * v_star (ell implied)."""
+    entry is shifted by the competition strength varsigma."""
     _check_competition(p, mu, varsigma)
     L = mode_matrix(p, mu)
     L[1, 1] += varsigma

@@ -23,7 +23,7 @@ def unstable_diffusive_params(unstable_params) -> ModelParams:
 
 def vars_dict(p: ModelParams) -> dict:
     return {name: getattr(p, name)
-            for name in ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d", "ell")}
+            for name in ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")}
 
 
 def random_rates(rng: np.random.Generator, low=1e-2, high=1e2, **extra) -> ModelParams:

@@ -18,13 +18,15 @@ UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
 # sha256 of each subcommand's CSV; any change to a digit, a cell rule or a row order shows here.
 # The dispersion and competition digests follow the one-path cubic solver; against
 # mpmath.polyroots their eigenvalue columns lost no accuracy in the worst row or in the sum.
+# The dispersion digest's phi column is Phi(mu) from phi_cubic; against mpmath at 80 digits it
+# lost no accuracy in the worst row (14.6 -> 10.6 ulps) or in the sum (103.7 -> 50.2 ulps).
 CSV_DIGESTS = [
     (["equilibria", "--alpha", "2", "--epsilon", "0.1"],
      "497c501693b4a9784b9771c92469a7306e4e6a9ec41a3335da0628f638a678d4"),
     (["stability", *UNSTABLE_FLAGS],
      "ec9a7e1ef0cb0a6a823ade7890c372c160f290f8b1df4cb7d812feeca37f1897"),
     (["dispersion", *UNSTABLE_FLAGS, "--mu-max", "2", "--samples", "51"],
-     "1802aff15f033ee57a281e8ba280febe58a8c85457744c160e665c2d4f6d58ad"),
+     "699b5aaa5662daffc07d911f467b47e86b32b5eeefd6a5e8e5f9e0fc5fec608f"),
     (["wavetrain", *UNSTABLE_FLAGS],
      "d9145726eb90b5ef7f7784049060787056054ec483787c961479b5154cdd301b"),
     (["competition", "--gamma", "0.01", "--c", "1", "--d", "1", "--mu", "0.01", "--varsigma", "0.5"],
@@ -195,6 +197,36 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "bogus", "--output", str(tmp_path / "s.csv")]) == 2
 
 
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["dispersion", "--samples", "5", "--beta", "1e200"], 0),
+            (["competition", "--d", "1e200", "--gamma", "0.01", "--c", "1"], 0),
+            (["dispersion", "--samples", "3", "--c", "1e200"], 3),
+            (["wavetrain", "--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1e200"], 3),
+        ],
+        ids=["dispersion-beta", "competition-d", "dispersion-c", "wavetrain-d"],
+    )
+    def test_exit_code_and_finite_cells(self, tmp_path, capsys, argv, code):
+        # Coefficients near 1e200: exit 0 with finite cells, or exit 3 when Phi(mu) leaves the float range.
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == code
+        if code == 0:
+            _, rows = read_csv(out)
+            assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
+        else:
+            assert capsys.readouterr().err.startswith("error: Phi(mu) is not finite")
+            assert not out.exists()
+
+    def test_stability_does_not_read_diffusion(self, tmp_path):
+        # The E1 verdict is Phi(0) = phi_cubic(p).b0, which holds no c or d.
+        base, wide = tmp_path / "base.csv", tmp_path / "wide.csv"
+        assert main(["stability", "--output", str(base)]) == 0
+        assert main(["stability", "--c", "1e200", "--d", "1e200", "--output", str(wide)]) == 0
+        assert base.read_bytes() == wide.read_bytes()
+
+
 class TestSimulateCommands:
     def test_ode_csv(self, tmp_path):
         out = tmp_path / "ode.csv"
@@ -224,7 +256,7 @@ class TestSimulateCommands:
             (["simulate-ode", "--alpha", "50", "--epsilon", "0.01", "--f0", "5", "--v0", "5",
               "--w0", "5", "--dt", "0.5", "--t-final", "50"], "t=1.5"),
             (["simulate-pde", "--c", "1", "--d", "1", "--alpha", "50", "--epsilon", "0.01",
-              "--rho", "0.5", "--t-final", "5", "--grid-points", "64"], "t=1"),
+              "--rho", "0.5", "--t-final", "5", "--grid-points", "64"], "t=0.52800000000000002"),
         ],
     )
     def test_blow_up_exit_code(self, tmp_path, capsys, argv, when):
@@ -266,11 +298,14 @@ class TestValidationAndDeterminism:
             (["dispersion", "--mu-min", "-1"], "mu_min"),
             (["dispersion", "--mu-max", "inf"], "finite"),
             (["kernel-moments", "--scale", "1e-300"], "scale"),
+            (["kernel-moments", "--dimension", "400"], "dimension"),
+            (["kernel-moments", "--dimension", "100", "--scale", "1e6"], "dimension"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
              "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
-             "dispersion-mu_max-inf", "kernel-scale-1e-300"],
+             "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
+             "kernel-dimension-100-scale-1e6"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
@@ -291,6 +326,19 @@ class TestValidationAndDeterminism:
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_ell_is_not_a_parameter(self, tmp_path):
+        # Competition strength enters only as competition's --varsigma: no flag, sweep axis or config key names ell.
+        out = tmp_path / "out.csv"
+        for command in COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--ell", "5", "--output", str(out)])
+            assert exc.value.code == 2
+        assert main(["sweep", "--axis", "ell", "--output", str(out)]) == 2
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("[params]\nell = 0\n")
+        assert main(["competition", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FVW_OUTPUT_DIR", str(tmp_path))
@@ -318,7 +366,7 @@ class TestValidationAndDeterminism:
             cfg_path.write_text(dumped.getvalue())
 
             original = resolve_config(parser.parse_args(argv))
-            assert dataclasses.asdict(original.params) == {**params, "ell": 0.0}
+            assert dataclasses.asdict(original.params) == params
             assert original.options == options
             reparsed = resolve_config(parser.parse_args([command, "--config", str(cfg_path)]))
             assert reparsed.command == original.command == command

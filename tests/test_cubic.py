@@ -18,7 +18,7 @@ from fvw import (
     imaginary_root_factorization,
     solve_cubic,
 )
-from fvw.cubic import _gap_verdict
+from fvw.cubic import _gap, _gap_verdict
 
 
 def numpy_roots(p: MonicCubic):
@@ -111,6 +111,56 @@ class TestSolveCubic:
         for got, want in zip(roots, (-1e-125, 0.0, 1e-125)):
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    def test_coefficients_beyond_the_depressed_cubics_range(self):
+        # q^3 and r^2 underflow here; the unscaled start once returned three zeros.
+        roots = solve_cubic(MonicCubic(0.0, 0.0, -1e-200)).roots
+        cbrt = 1e-200 ** (1.0 / 3.0)
+        want = sorted((cbrt * cmath.exp(2j * cmath.pi * k / 3.0) for k in range(3)), key=lambda z: (z.real, z.imag))
+        for got, w in zip(roots, want):
+            assert got == pytest.approx(w, rel=1e-15)
+        # (t + 1e200)(t^2 + 1e-200 t + 1e-200) up to rounding: a2**3 overflowed, and the small pair
+        # underflows in the scaled cubic, so it must come from the original coefficients.
+        roots = solve_cubic(MonicCubic(1e200, 1.0, 1.0)).roots
+        for got, w in zip(roots, (-1e200, complex(-5e-201, -1e-100), complex(-5e-201, 1e-100))):
+            assert got == pytest.approx(w, rel=1e-15)
+
+    def test_real_root_far_below_a_complex_pair(self):
+        # The start leaves the root 2.18e-149 an absolute error near 1e-17 and two Newton steps
+        # only reach 2.7e-48; the product a0 / (r1 r2) from the large end is exact to rounding.
+        p = MonicCubic(-0.6776707940746463, 0.18432050220911228, -4.0226945953892106e-150)
+        with mpmath.workdps(60):
+            want = sorted((complex(z) for z in mpmath.polyroots([1, *p], maxsteps=200, extraprec=400, cleanup=False)),
+                          key=lambda z: (z.real, z.imag))
+        for got, w in zip(solve_cubic(p).roots, want):
+            assert got == pytest.approx(w, rel=1e-14)
+
+    @given(logs=st.lists(st.floats(math.log(1e-100), math.log(1e100)), min_size=3, max_size=3),
+           signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3),
+           angle=st.none() | st.floats(0.0, math.pi))
+    def test_roots_across_the_float_range(self, logs, signs, angle):
+        # Three real roots, or one real root and a conjugate pair at `angle`, of magnitudes in
+        # [1e-100, 1e100]. The coefficients are built at 50 digits and rounded once, which moves
+        # root r by about eps * kappa(r) relative; solve_cubic must stay within 4 eps (1 + kappa).
+        with mpmath.workdps(50):
+            roots = [mpmath.mpc(s * math.exp(x)) for s, x in zip(signs, logs)]
+            if angle is not None:
+                roots[1] = math.exp(logs[1]) * mpmath.expj(angle)
+                roots[2] = mpmath.conj(roots[1])
+            r1, r2, r3 = roots
+            a = (-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3)
+            p = MonicCubic(*(float(mpmath.re(x)) for x in a))
+            kappa = []
+            for i, r in enumerate(roots):
+                dp = mpmath.fprod(r - s for j, s in enumerate(roots) if j != i)
+                if dp == 0:
+                    kappa.append(math.inf)  # a multiple root
+                else:
+                    kappa.append(float(sum(abs(x) * abs(r) ** (2 - k) for k, x in enumerate(a)) / (abs(r) * abs(dp))))
+        got = solve_cubic(p).roots
+        assert min(max(abs(g - complex(w)) / abs(complex(w)) - 4.0 * 2.0**-52 * (1.0 + k)
+                       for g, w, k in zip(order, roots, kappa))
+                   for order in itertools.permutations(got)) <= 0.0
+
     @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=10, max_size=10))
     def test_dispersion_roots_match_mpmath(self, draws):
         names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
@@ -120,7 +170,7 @@ class TestSolveCubic:
             want = [complex(z) for z in mpmath.polyroots([1, *poly], maxsteps=200, extraprec=200)]
         assert min(max(abs(g - w) / abs(w) for g, w in zip(order, want))
                    for order in itertools.permutations(got)) <= 1e-12
-        verdict = _gap_verdict(poly)
+        verdict = _gap_verdict(poly, _gap(poly))
         if verdict is not Verdict.MARGINAL:
             assert (max(z.real for z in got) < 0.0) == (verdict is Verdict.ALL_NEGATIVE_REAL_PART)
 

@@ -9,7 +9,9 @@ from fvw import (
     CFLViolation,
     CFLWarning,
     IntegratorConfig,
+    ModelParams,
     State,
+    StepFailure,
     ValidationError,
     all_ones,
     coexistence_state,
@@ -253,11 +255,14 @@ class TestSimulatePde:
         with pytest.raises(CFLViolation):
             simulate_pde(field0, p, cfg, [0.5], clamp=False)
 
-    def test_competition_pde_not_simulated(self):
-        p = all_ones(c=1.0, d=1.0, ell=0.5)
-        field0 = uniform_field(coexistence_state(p), 64, 2 * math.pi)
-        with pytest.raises(ValidationError):
-            simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=0.001, t_final=1.0), [1.0])
+    def test_blow_up_time(self):
+        # The fields first go non-finite at step 514 of dt = 1e-3 (t = 0.514), not at a snapshot time;
+        # a check every 16 steps reports t = 0.528.
+        p = ModelParams(alpha=50.0, beta=1.0, gamma=1.0, delta=1.0, epsilon=0.01, eta=1.0, zeta=1.0, c=1.0, d=1.0)
+        field0 = single_mode_field(p, 64, 2 * math.pi, 1, 0.5)
+        with pytest.raises(StepFailure, match="non-finite at t=") as exc:
+            simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=1e-3, t_final=5.0), [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert 0.51 < float(str(exc.value).rpartition("t=")[2]) <= 0.54
 
     def test_adaptive_method_rejected(self):
         p = all_ones(c=1.0, d=1.0)

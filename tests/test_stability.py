@@ -32,6 +32,9 @@ from fvw import (
 
 from conftest import random_rates, vars_dict
 
+NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
+LOG_UNIFORM = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
+
 # Frozen from high-precision evaluation of the closed form (also reproduced by
 # the bisection oracle in test_find_k0_unstable_matches_eigenvalue_oracle).
 UPSILON_UNSTABLE = -0.5588723439378913
@@ -43,6 +46,20 @@ def char_poly_coeffs(A: np.ndarray):
     """Determinant-expansion oracle for the characteristic polynomial of a 3x3 matrix."""
     coeffs = np.poly(A)
     return coeffs[1], coeffs[2], coeffs[3]
+
+
+def mp_phi(p: ModelParams, mu: float):
+    """Oracle: a1 a2 - a0 of the characteristic polynomial of A(mu), built from the model at 80 digits."""
+    with mpmath.workdps(80):
+        al, be, ga, de, ep, et, ze, c, d = (mpmath.mpf(getattr(p, name)) for name in NAMES)
+        w = 2 * al * ga / (mpmath.sqrt(al**2 * ep**2 + 4 * al * be * de * ga) + al * ep)
+        f, v = ze * w / et, be * w / al
+        A = mpmath.matrix([[al * v - be * w - c * mu, al * f, -be * f],
+                           [-et * v, ze * w - et * f, ze * v],
+                           [0, -de * w, -de * v - ep - d * mu]])
+        a2 = -(A[0, 0] + A[1, 1] + A[2, 2])
+        a1 = sum(A[i, i] * A[j, j] - A[i, j] * A[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        return a1 * a2 + mpmath.det(A)
 
 
 def draw_unstable_diffusive(rng) -> ModelParams:
@@ -163,6 +180,19 @@ class TestDispersion:
                 poly = dispersion_coefficients(p, mu)
                 gap = poly.a1 * poly.a2 - poly.a0
                 assert phi(mu) == pytest.approx(gap, rel=1e-9, abs=1e-9 * (1 + abs(gap)))
+
+    @given(draws=st.lists(LOG_UNIFORM, min_size=10, max_size=10))
+    def test_phi_matches_mpmath(self, draws):
+        # a1 a2 - a0 cancels; Phi(mu) from phi_cubic stays within 1e-14 of the size of its own terms.
+        # b0 = delta zeta v* w* Upsilon, and Upsilon = T + epsilon cancels near its root, so b0's
+        # size is delta zeta v* w* (|T| + epsilon).
+        p = ModelParams(**dict(zip(NAMES, draws)))
+        b3, b2, b1, _ = phi_cubic(p)
+        _, v, w = coexistence_state(p)
+        b0_size = p.delta * p.zeta * v * w * (abs(upsilon(p) - p.epsilon) + p.epsilon)
+        for s in dispersion_curve(p, [0.0, draws[-1]]):
+            scale = ((abs(b3) * s.mu + abs(b2)) * s.mu + abs(b1)) * s.mu + b0_size
+            assert abs(s.phi - mp_phi(p, s.mu)) <= 1e-14 * scale
 
     def test_stable_for_all_mu_when_upsilon_positive(self):
         p = all_ones(c=1.0, d=1.0)
@@ -343,6 +373,15 @@ class TestModeAttraction:
         assert all(a > b for a, b in zip(norms, norms[1:]))
         for t, n in zip((0.0, 1.0, 2.0, 4.0), norms):
             assert n == pytest.approx(math.exp(wt.decay_eigenvalue * t), rel=1e-7)
+
+    @given(draws=st.lists(LOG_UNIFORM, min_size=10, max_size=10))
+    def test_slow_eigenvector_residual(self, draws):
+        # Away from mu*, -a2(mu) is no eigenvalue; the shift is the real root of the mode cubic nearest it.
+        p, mu = ModelParams(**dict(zip(NAMES, draws))), draws[-1]
+        A = mode_matrix(p, mu)
+        x = slow_eigenvector(p, mu)
+        lam = x @ A @ x  # the Rayleigh quotient: the eigenvalue estimate with the least residual
+        assert np.linalg.norm(A @ x - lam * x) <= 1e-12 * np.linalg.norm(A)
 
     def test_convergence_to_wave_span(self, unstable_diffusive_params):
         p = unstable_diffusive_params
