@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,9 @@ class RunConfig:
                     stream.write(f"{name} = {_fmt(value)}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fvw",
         description="Fire-vegetation-water reaction-diffusion model: analysis and simulation.",

@@ -2,14 +2,18 @@
 
 Everything here treats t^3 + a2 t^2 + a1 t + a0 with real coefficients. Every
 cubic takes one root-finding path (`solve_cubic`), which keeps small roots beside
-large ones to full relative accuracy.
+large ones to full relative accuracy; `_solve_cubics` takes the same path for many
+cubics at once, with the same digits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from itertools import repeat
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import HypothesisViolated, ValidationError
 
@@ -128,6 +132,90 @@ def solve_cubic(p: MonicCubic) -> RootSet:
         y = math.sqrt(c - h * h)
         pair = (complex(h, -y), complex(h, y))
     return RootSet(tuple(sorted((complex(t), *pair), key=lambda z: (z.real, z.imag))))
+
+
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn (a `math` function or `pow`) of each element, as `solve_cubic` computes it: numpy's
+    SIMD arccos and power differ from libm in the last bit for some arguments."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
+
+
+def _sort_pair(re_a, im_a, re_b, im_b):
+    """Put each (a, b) in the order sorted() gives (real, imaginary) keys without a nan."""
+    swap = (re_b < re_a) | ((re_b == re_a) & (im_b < im_a))
+    return (np.where(swap, re_b, re_a), np.where(swap, im_b, im_a),
+            np.where(swap, re_a, re_b), np.where(swap, im_a, im_b))
+
+
+def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSet]:
+    """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass
+    that takes the same steps in the same order and so gives the same bits. Rows whose cubic
+    `solve_cubic` would scale (|e| > 160), or with a root that is not finite, are solved by
+    `solve_cubic` itself."""
+    coeffs = np.stack((a2, a1, a0))
+    with np.errstate(all="ignore"):  # steps of rows that do not take them are computed and discarded
+        # solve_cubic scales the cubic when |e| > 160: when |a2| >= 2^160, |a1| >= 2^320 or |a0| >= 2^480,
+        # or when |a2| < 2^-161, |a1| < 2^-322 and |a0| < 2^-483 and not all three are zero.
+        size = np.abs(coeffs)
+        scaled = (size >= [[2.0**160], [2.0**320], [2.0**480]]).any(axis=0) | (
+            (size < [[2.0**-161], [2.0**-322], [2.0**-483]]).all(axis=0) & (size != 0.0).any(axis=0))
+        rows = np.flatnonzero(~scaled)
+        p = MonicCubic(*coeffs[:, rows])
+        b2, b1, b0 = p
+        shift = b2 / 3.0
+        q = b1 - b2 * b2 / 3.0
+        q3 = _libm(pow, q, 3)
+        r = 2.0 * _libm(pow, b2, 3) / 27.0 - b2 * b1 / 3.0 + b0
+        t = np.empty_like(q)
+        trig = -4.0 * q3 - 27.0 * r * r >= 0.0
+        # Three real roots: the trigonometric candidate largest in magnitude, the first of equals.
+        qt, rt, st = q[trig], r[trig], shift[trig]
+        m = 2.0 * np.sqrt(np.where(0.0 > -qt / 3.0, 0.0, -qt / 3.0))
+        arg = np.where(qt * m != 0.0, 3.0 * rt / (qt * m), 0.0)
+        arg = np.where(arg > -1.0, arg, -1.0)
+        theta = _libm(math.acos, np.where(arg < 1.0, arg, 1.0))
+        best, *rest = (m * _libm(math.cos, (theta - 2.0 * math.pi * k) / 3.0) - st for k in range(3))
+        for cand in rest:
+            best = np.where(np.abs(cand) > np.abs(best), cand, best)
+        t[trig] = best
+        # One real root: stable Cardano.
+        card = ~trig
+        qc, rc = q[card], r[card]
+        half_r = rc / 2.0
+        radicand = rc * rc / 4.0 + q3[card] / 27.0
+        root_term = np.sqrt(np.where(0.0 > radicand, 0.0, radicand))
+        u = np.where(half_r <= 0, -half_r + root_term, -half_r - root_term)
+        u = np.copysign(_libm(pow, np.abs(u), 1.0 / 3.0), u)
+        t[card] = u + np.where(u != 0.0, -qc / 3.0 / u, 0.0) - shift[card]
+        # Newton polish: a row stops at its first rejected step.
+        pt = p(t)
+        live = np.ones(len(t), dtype=bool)
+        for _ in range(2):
+            dp = p.derivative(t)
+            t_next = t - pt / dp
+            p_next = p(t_next)
+            live &= (dp != 0.0) & (np.abs(p_next) <= np.abs(pt))
+            t, pt = np.where(live, t_next, t), np.where(live, p_next, pt)
+        # The pair from the Vieta end that does not cancel, as in solve_cubic.
+        c = b1 + t * (b2 + t)
+        small = t * t < 2.0**-52 * np.abs(c)
+        t = np.where(small, -b0 / c, t)
+        c = np.where(small, c, np.where(t != 0.0, -b0 / t, b1))
+        h = np.where(t * t > np.abs(c), (b1 - c) / t, -b2 - t) / 2.0
+        real = h * h >= c
+        x = h + np.copysign(np.sqrt(h * h - c), h)
+        y = np.sqrt(c - h * h)
+        roots = [t, np.zeros_like(t), np.where(real, x, h), np.where(real, 0.0, -y),
+                 np.where(real, np.where(x != 0.0, c / x, 0.0), h), np.where(real, 0.0, y)]
+    for i, j in ((0, 2), (2, 4), (0, 2)):  # a stable sort of the three roots (t, then the pair)
+        roots[i], roots[i + 1], roots[j], roots[j + 1] = _sort_pair(*roots[i:i + 2], *roots[j:j + 2])
+    z = np.empty((len(t), 3), dtype=complex)  # set part by part: h + 1j * y would turn h = -0.0 into 0.0
+    z.real, z.imag = np.stack(roots[0::2], axis=1), np.stack(roots[1::2], axis=1)
+    solved = np.zeros(len(a2), dtype=bool)
+    solved[rows] = np.isfinite(z).all(axis=1)
+    found = iter(z[solved[rows]].tolist())
+    return [RootSet(tuple(next(found))) if ok else solve_cubic(MonicCubic(*abc))
+            for ok, abc in zip(solved.tolist(), coeffs.T.tolist())]
 
 
 def hurwitz_negative(p: MonicCubic) -> Verdict:

@@ -13,7 +13,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .cubic import MonicCubic, RootSet, Verdict, _band, _gap_verdict, imaginary_root_factorization, solve_cubic
+from .cubic import (
+    MonicCubic, RootSet, Verdict, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
+)
 from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
 from .model import ModelParams, coexistence_state, jacobian
 
@@ -52,7 +54,8 @@ def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, floa
 
 
 def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
-    """Characteristic-polynomial coefficients (a2, a1, a0) of the mode matrix A(mu)."""
+    """Characteristic-polynomial coefficients (a2, a1, a0) of the mode matrix A(mu); mu may be a
+    float or a 1-D array, which gives arrays of coefficients with the same bits per element."""
     f, v, w, s, fire_veg, veg_water = _coexistence_terms(p)
     a2 = (p.c + p.d) * mu + s
     a1 = p.c * mu * (p.d * mu + s) + fire_veg + veg_water
@@ -104,7 +107,8 @@ class PhiCubic(NamedTuple):
 
 def phi_cubic(p: ModelParams) -> PhiCubic:
     """The one source of Phi(mu): its coefficients come from the coexistence-state terms, with
-    b0 = delta zeta v* w* Upsilon, so Phi(mu) carries none of the cancellation of a1 a2 - a0."""
+    b0 = delta zeta v* w* Upsilon, so Phi(mu) carries none of the cancellation of a1 a2 - a0.
+    The returned cubic evaluates at a float mu or elementwise at a 1-D array of them."""
     _, _, _, s, fire_veg, veg_water = _coexistence_terms(p)
     b3 = p.c * p.d * (p.c + p.d)
     b2 = p.c * (p.c + 2.0 * p.d) * s
@@ -131,25 +135,33 @@ def _check_phi_finite(phi: PhiCubic, *values: float) -> None:
 
 def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[DispersionSample]:
     """Sample the mode spectrum over a grid of squared wavenumbers; phi and the verdict
-    come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure."""
+    come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure.
+    The coefficients, Phi(mu) and the roots are computed for the whole grid in one array
+    pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it."""
     phi = phi_cubic(p)
-    out = []
-    for mu in map(float, mu_grid):  # a numpy scalar would warn on inf * 0 before the check below
-        poly = dispersion_coefficients(p, mu)
+    mu = np.fromiter(map(float, mu_grid), float)
+    with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
+        a2, a1, a0 = dispersion_coefficients(p, mu)
         gap = phi(mu)
-        _check_phi_finite(phi, gap)
-        out.append(
-            DispersionSample(
-                mu=mu,
-                a2=poly.a2,
-                a1=poly.a1,
-                a0=poly.a0,
-                phi=gap,
-                eigenvalues=solve_cubic(poly),
-                stable=_gap_verdict(poly, gap) is Verdict.ALL_NEGATIVE_REAL_PART,
-            )
+    finite = np.isfinite(gap) & np.isfinite(a2) & np.isfinite(a1) & np.isfinite(a0)
+    if not finite.all():  # raise what the first such sample raises on its own
+        i = int(np.argmin(finite))
+        _check_phi_finite(phi, float(gap[i]))
+        solve_cubic(MonicCubic(float(a2[i]), float(a1[i]), float(a0[i])))
+    return [
+        DispersionSample(
+            mu=m,
+            a2=x2,
+            a1=x1,
+            a0=x0,
+            phi=g,
+            eigenvalues=roots,
+            stable=_gap_verdict(MonicCubic(x2, x1, x0), g) is Verdict.ALL_NEGATIVE_REAL_PART,
         )
-    return out
+        for m, x2, x1, x0, g, roots in zip(
+            mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(), _solve_cubics(a2, a1, a0)
+        )
+    ]
 
 
 class DiffusionThreshold(NamedTuple):
@@ -208,7 +220,8 @@ class WaveTrain:
 
 def _inverse_iteration(A: np.ndarray, shift: complex) -> np.ndarray:
     """Eigenvector for the eigenvalue nearest `shift` via shifted inverse iteration
-    from the all-ones vector, with deterministic phase normalization."""
+    from the all-ones vector, with deterministic phase normalization. An iterate that is
+    not finite raises NumericalFailure."""
     n = A.shape[0]
     B = A.astype(complex) - shift * np.eye(n)
     x = np.ones(n, dtype=complex)
@@ -218,6 +231,12 @@ def _inverse_iteration(A: np.ndarray, shift: complex) -> np.ndarray:
             y = np.linalg.solve(B, x)
         except np.linalg.LinAlgError:
             y = np.linalg.solve(B + 1e-14 * np.linalg.norm(A) * np.eye(n), x)
+        if not np.isfinite(y).all():
+            raise NumericalFailure(f"inverse iteration for the eigenvector at {shift} left the float range")
+        # Scaled by 2^-e to a largest component in [1/2, 1), so that the norm's sum of squares neither
+        # overflows nor underflows; the power of two, in two factors that stay in range, is exact.
+        e = math.frexp(float(np.max(np.abs(y))))[1]
+        y = y * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -e - (-e // 2))
         x = y / np.linalg.norm(y)
     # Largest-magnitude component made real and positive.
     i = int(np.argmax(np.abs(x)))

@@ -219,6 +219,22 @@ class TestExtremeMagnitudes:
             assert capsys.readouterr().err.startswith("error: Phi(mu) is not finite")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rate, code", [("--eta=1e200", 0), ("--delta=1e-300", 0), ("--zeta=1e-300", 0), ("--eta=1e-300", 3)],
+        ids=["eta-1e200", "delta-1e-300", "zeta-1e-300", "eta-1e-300"],
+    )
+    def test_wavetrain_eigenvector_at_extreme_rates(self, tmp_path, capsys, rate, code):
+        # The eigenvector's norm is taken after scaling by a power of two, so components near 1e200 or
+        # 1e-300 no longer overflow its sum of squares; an iterate that is not finite exits 3, never 0 with nan.
+        out = tmp_path / "out.csv"
+        assert main(["wavetrain", *UNSTABLE_FLAGS, rate, "--output", str(out)]) == code
+        if code == 0:
+            _, rows = read_csv(out)
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        else:
+            assert capsys.readouterr().err.startswith("error: inverse iteration")
+            assert not out.exists()
+
     def test_stability_does_not_read_diffusion(self, tmp_path):
         # The E1 verdict is Phi(0) = phi_cubic(p).b0, which holds no c or d.
         base, wide = tmp_path / "base.csv", tmp_path / "wide.csv"
@@ -339,6 +355,20 @@ class TestValidationAndDeterminism:
         cfg_path.write_text("[params]\nell = 0\n")
         assert main(["competition", "--config", str(cfg_path), "--output", str(out)]) == 2
         assert not out.exists()
+
+    def test_parser_survives_an_argparse_error(self, tmp_path):
+        # The parser is built once per process; an argparse error on it must not change the next run.
+        argv = ["dispersion", *UNSTABLE_FLAGS, "--samples", "21"]
+        alone, after_error = tmp_path / "alone.csv", tmp_path / "after.csv"
+        build_parser.cache_clear()
+        assert main([*argv, "--output", str(alone)]) == 0
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--samples", "many", "--output", str(after_error)])
+        assert exc.value.code == 2
+        assert main([*argv, "--output", str(after_error)]) == 0
+        assert build_parser() is build_parser()
+        assert after_error.read_bytes() == alone.read_bytes()
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FVW_OUTPUT_DIR", str(tmp_path))

@@ -18,7 +18,7 @@ from fvw import (
     imaginary_root_factorization,
     solve_cubic,
 )
-from fvw.cubic import _gap, _gap_verdict
+from fvw.cubic import _gap, _gap_verdict, _solve_cubics
 
 
 def numpy_roots(p: MonicCubic):
@@ -173,6 +173,48 @@ class TestSolveCubic:
         verdict = _gap_verdict(poly, _gap(poly))
         if verdict is not Verdict.MARGINAL:
             assert (max(z.real for z in got) < 0.0) == (verdict is Verdict.ALL_NEGATIVE_REAL_PART)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestArrayKernel:
+    """_solve_cubics must give, row by row, the very bits of solve_cubic (compared by repr)."""
+
+    @staticmethod
+    def assert_rows_match(rows):
+        a2, a1, a0 = np.array(rows, dtype=float).reshape(-1, 3).T
+        got = _solve_cubics(a2, a1, a0)
+        assert repr(got) == repr([solve_cubic(MonicCubic(*row)) for row in rows])
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (-6.0, 11.0, -6.0),  # three real roots 1, 2, 3
+            (2.0, 1.0, 0.0),  # a0 = 0: the real root t = 0
+            (9.0, 24.0, 16.0),  # the double root -4
+            (3.0, 3.0, 1.0),  # the triple root -1
+            (1.0, 1.0, 1.0),  # the pair +-i beside -1
+            (-0.0, 0.0, -0.0),  # all roots signed zeros
+            (0.0, 0.0, -8.0),  # one real root and a complex pair (Cardano)
+            (1e200, 1.0, 1.0),  # |e| > 160: solve_cubic's scaled cubic
+            (5e-324, 0.0, 0.0),  # |e| > 160 at the small end
+            (-0.6776707940746463, 0.18432050220911228, -4.0226945953892106e-150),  # real root far below a pair
+        ],
+        ids=["three-real", "a0-zero", "double", "triple", "imaginary-pair", "signed-zeros", "cardano",
+             "scaled-large", "scaled-small", "tiny-real-root"],
+    )
+    def test_fixed_rows(self, row):
+        self.assert_rows_match([row])
+
+    @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE), max_size=40))
+    def test_matches_solve_cubic_across_the_float_range(self, rows):
+        self.assert_rows_match(rows)
+
+    @given(roots=st.lists(st.tuples(*[st.integers(-8, 8).map(float)] * 3), min_size=1, max_size=40))
+    def test_repeated_integer_roots(self, roots):
+        # Small integer roots repeat often: double and triple roots, and exact zeros.
+        self.assert_rows_match([(-(r + s + u), r * s + r * u + s * u, -r * s * u) for r, s, u in roots])
 
 
 class TestHurwitz:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from fvw import (
     Classification,
     DegenerateDiffusion,
+    DispersionSample,
     ModelParams,
     NoWaveTrain,
+    NumericalFailure,
     VarsigmaOutOfRange,
     all_ones,
     classify_equilibrium,
@@ -27,8 +29,10 @@ from fvw import (
     mode_matrix,
     phi_cubic,
     slow_eigenvector,
+    solve_cubic,
     upsilon,
 )
+from fvw.cubic import Verdict, _gap_verdict
 
 from conftest import random_rates, vars_dict
 
@@ -68,6 +72,20 @@ def draw_unstable_diffusive(rng) -> ModelParams:
                          d=float(rng.uniform(0.1, 2.0)))
         if upsilon(p) < -1e-3:
             return p
+
+
+def scalar_dispersion(p: ModelParams, mu_grid) -> list[DispersionSample]:
+    """Reference for dispersion_curve: each mu on its own, through solve_cubic and _gap_verdict."""
+    phi = phi_cubic(p)
+    out = []
+    for mu in map(float, mu_grid):
+        poly = dispersion_coefficients(p, mu)
+        gap = phi(mu)
+        if not math.isfinite(gap):
+            raise NumericalFailure("Phi(mu) is not finite")
+        stable = _gap_verdict(poly, gap) is Verdict.ALL_NEGATIVE_REAL_PART
+        out.append(DispersionSample(mu, *poly, gap, solve_cubic(poly), stable))
+    return out
 
 
 class TestUpsilon:
@@ -214,6 +232,52 @@ class TestDispersion:
         verdict = classify_equilibrium("E1", unstable_params)
         for s in samples:
             assert s.eigenvalues.roots == verdict.eigenvalues.roots
+
+
+class TestDispersionArrayPass:
+    """dispersion_curve solves all its cubics in one array pass; every sample, signed zeros
+    included, must be the one the per-mu path gives (compared by repr)."""
+
+    @given(draws=st.lists(LOG_UNIFORM, min_size=9, max_size=9),
+           decades=st.tuples(st.floats(-12.0, 0.0), st.floats(0.0, 12.0)),
+           samples=st.integers(2, 60))
+    def test_matches_the_per_mu_path(self, draws, decades, samples):
+        p = ModelParams(**dict(zip(NAMES, draws)))
+        grid = [0.0, *np.geomspace(10.0 ** decades[0], 10.0 ** decades[1], samples)]
+        try:
+            want = scalar_dispersion(p, grid)
+        except NumericalFailure:
+            with pytest.raises(NumericalFailure, match="Phi.mu. is not finite"):
+                dispersion_curve(p, grid)
+            return
+        assert repr(dispersion_curve(p, grid)) == repr(want)
+
+    def test_three_real_roots(self):
+        # With d = 100 c the large-mu modes separate into three real eigenvalues.
+        p = all_ones(c=1.0, d=100.0)
+        grid = np.geomspace(1e-3, 1e3, 50)
+        got = dispersion_curve(p, grid)
+        assert any(all(r.imag == 0.0 for r in s.eigenvalues.roots) for s in got)
+        assert repr(got) == repr(scalar_dispersion(p, grid))
+
+    def test_coefficients_beyond_the_unscaled_range(self):
+        # beta = 1e200 gives a2 = 1e100 at mu = 0: solve_cubic scales that cubic (|e| > 160), and the
+        # pair +-i sqrt(2) keeps its real part -0.0.
+        p = all_ones(beta=1e200, c=1.0, d=1.0)
+        grid = np.linspace(0.0, 2.0, 5)
+        got = dispersion_curve(p, grid)
+        assert math.copysign(1.0, got[0].eigenvalues.roots[1].real) == -1.0
+        assert repr(got) == repr(scalar_dispersion(p, grid))
+
+    def test_empty_grid(self, unstable_diffusive_params):
+        assert dispersion_curve(unstable_diffusive_params, []) == []
+
+    @pytest.mark.parametrize("c, d", [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)])
+    def test_infinite_mu_raises_without_warnings(self, c, d, recwarn):
+        # Phi(inf) is inf, or nan from inf * 0 when c = 0; either is reported, and no warning is emitted.
+        with pytest.raises(NumericalFailure, match="Phi.mu. is not finite"):
+            dispersion_curve(all_ones(c=c, d=d), [0.0, 1.0, math.inf])
+        assert not recwarn.list
 
 
 class TestFindK0:
