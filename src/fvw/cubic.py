@@ -213,8 +213,10 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
     z.real, z.imag = np.stack(roots[0::2], axis=1), np.stack(roots[1::2], axis=1)
     solved = np.zeros(len(a2), dtype=bool)
     solved[rows] = np.isfinite(z).all(axis=1)
-    found = iter(z[solved[rows]].tolist())
-    return [RootSet(tuple(next(found))) if ok else solve_cubic(MonicCubic(*abc))
+    found = map(RootSet, map(tuple, z[solved[rows]].tolist()))
+    if solved.all():
+        return list(found)
+    return [next(found) if ok else solve_cubic(MonicCubic(*abc))
             for ok, abc in zip(solved.tolist(), coeffs.T.tolist())]
 
 

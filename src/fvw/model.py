@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 
 _RATE_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta")
 
@@ -77,7 +77,16 @@ def coexistence_w(p: ModelParams) -> float:
     # Rationalized form of (sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) - alpha eps) / (2 beta delta);
     # avoids cancellation when 4 alpha beta delta gamma << alpha^2 eps^2.
     disc = math.sqrt(p.alpha**2 * p.epsilon**2 + 4.0 * p.alpha * p.beta * p.delta * p.gamma)
-    return 2.0 * p.alpha * p.gamma / (disc + p.alpha * p.epsilon)
+    return 2.0 * p.alpha * p.gamma / _nonzero_denominator(disc + p.alpha * p.epsilon)
+
+
+def _nonzero_denominator(x: float) -> float:
+    """x, the denominator sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps of w* and Upsilon;
+    a NumericalFailure where it underflows to 0, as it does for rates near 1e-300."""
+    if x == 0.0:
+        raise NumericalFailure("the coexistence equilibrium leaves the float range: "
+                               "sqrt(alpha^2 epsilon^2 + 4 alpha beta delta gamma) + alpha epsilon underflows to 0")
+    return x
 
 
 def coexistence_state(p: ModelParams) -> State:

@@ -3,7 +3,6 @@ periodic domain, started from uniform or single-mode fields."""
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,11 +66,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    """The one CSV writer: a header line, then one line per row of cells formatted by _fmt."""
+    """The one CSV writer: a header line, then one line per row of cells formatted by _fmt. No cell
+    holds a comma, quote or line break, so the lines are those of `csv.writer` (excel dialect)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
 
 
 def _rk4_step(rhs, y, h):
@@ -102,7 +101,7 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
         states = np.array(rows)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
-            sol = solve_ivp(lambda t, y: np.array(_reaction_terms(p, *y)), (0.0, cfg.t_final),
+            sol = solve_ivp(lambda t, y: np.array(_reaction_terms(p, *y.tolist())), (0.0, cfg.t_final),
                             np.asarray(s0, dtype=float), method="RK45", rtol=cfg.rtol, atol=cfg.atol)
         if not sol.success:
             raise StepFailure(f"adaptive integration failed: {sol.message}")

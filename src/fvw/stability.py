@@ -17,7 +17,7 @@ from .cubic import (
     MonicCubic, RootSet, Verdict, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
 )
 from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
-from .model import ModelParams, coexistence_state, jacobian
+from .model import ModelParams, _nonzero_denominator, coexistence_state, jacobian
 
 
 class Classification(enum.Enum):
@@ -44,7 +44,8 @@ def upsilon(p: ModelParams) -> float:
     """Scalar discriminant classifying the coexistence equilibrium: stable for
     positive values, unstable for negative, neutral at zero."""
     disc = math.sqrt(p.alpha**2 * p.epsilon**2 + 4.0 * p.alpha * p.beta * p.gamma * p.delta)
-    return 2.0 * p.beta * p.gamma * (p.delta - p.alpha) / (disc + p.alpha * p.epsilon) + p.epsilon
+    den = _nonzero_denominator(disc + p.alpha * p.epsilon)
+    return 2.0 * p.beta * p.gamma * (p.delta - p.alpha) / den + p.epsilon
 
 
 def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float]:
@@ -117,8 +118,7 @@ def phi_cubic(p: ModelParams) -> PhiCubic:
     return PhiCubic(b3, b2, b1, b0)
 
 
-@dataclass(frozen=True)
-class DispersionSample:
+class DispersionSample(NamedTuple):
     mu: float
     a2: float
     a1: float
@@ -137,31 +137,21 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     """Sample the mode spectrum over a grid of squared wavenumbers; phi and the verdict
     come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure.
     The coefficients, Phi(mu) and the roots are computed for the whole grid in one array
-    pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it."""
+    pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample
+    is stable where `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
     phi = phi_cubic(p)
     mu = np.fromiter(map(float, mu_grid), float)
     with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
         a2, a1, a0 = dispersion_coefficients(p, mu)
         gap = phi(mu)
+        stable = gap > _band(a1 * a2, a0)  # a1 * a2 may overflow to inf: then the sample is marginal
     finite = np.isfinite(gap) & np.isfinite(a2) & np.isfinite(a1) & np.isfinite(a0)
     if not finite.all():  # raise what the first such sample raises on its own
         i = int(np.argmin(finite))
         _check_phi_finite(phi, float(gap[i]))
         solve_cubic(MonicCubic(float(a2[i]), float(a1[i]), float(a0[i])))
-    return [
-        DispersionSample(
-            mu=m,
-            a2=x2,
-            a1=x1,
-            a0=x0,
-            phi=g,
-            eigenvalues=roots,
-            stable=_gap_verdict(MonicCubic(x2, x1, x0), g) is Verdict.ALL_NEGATIVE_REAL_PART,
-        )
-        for m, x2, x1, x0, g, roots in zip(
-            mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(), _solve_cubics(a2, a1, a0)
-        )
-    ]
+    return list(map(DispersionSample, mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(),
+                    _solve_cubics(a2, a1, a0), stable.tolist()))
 
 
 class DiffusionThreshold(NamedTuple):

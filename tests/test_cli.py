@@ -235,6 +235,17 @@ class TestExtremeMagnitudes:
             assert capsys.readouterr().err.startswith("error: inverse iteration")
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["equilibria", "stability", "dispersion"])
+    def test_underflowing_equilibrium(self, tmp_path, capsys, command):
+        # sqrt(alpha^2 epsilon^2 + 4 alpha beta delta gamma) + alpha epsilon, the denominator of w* and
+        # Upsilon, underflows to 0 here; that is a typed error, not a ZeroDivisionError traceback.
+        out = tmp_path / "out.csv"
+        argv = [command, "--alpha", "1e-300", "--beta", "1e-300", "--epsilon", "1e-300", "--output", str(out)]
+        assert main(argv) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "underflows to 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_stability_does_not_read_diffusion(self, tmp_path):
         # The E1 verdict is Phi(0) = phi_cubic(p).b0, which holds no c or d.
         base, wide = tmp_path / "base.csv", tmp_path / "wide.csv"

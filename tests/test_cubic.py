@@ -12,6 +12,7 @@ from fvw import (
     HypothesisViolated,
     ModelParams,
     MonicCubic,
+    RootSet,
     Verdict,
     dispersion_coefficients,
     hurwitz_negative,
@@ -206,6 +207,30 @@ class TestArrayKernel:
     )
     def test_fixed_rows(self, row):
         self.assert_rows_match([row])
+
+    @pytest.mark.parametrize(
+        "rows, fallback",
+        [
+            ([(-6.0, 11.0, -6.0), (1.0, 1.0, 1.0), (0.0, 0.0, -8.0)], []),
+            ([(1e200, 1.0, 1.0), (-6.0, 11.0, -6.0), (5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)], [0, 2]),
+        ],
+        ids=["all-solved", "mixed"],
+    )
+    def test_solve_cubic_only_for_unsolved_rows(self, monkeypatch, rows, fallback):
+        # Every row of the array pass maps straight to a RootSet; rows it leaves (here the scaled
+        # ones) are solved by solve_cubic, and take their own places in the list.
+        called = []
+
+        def fallback_solve(p):
+            called.append(p)
+            return solve_cubic(p)
+
+        monkeypatch.setattr("fvw.cubic.solve_cubic", fallback_solve)
+        a2, a1, a0 = np.array(rows).T
+        got = _solve_cubics(a2, a1, a0)
+        assert all(type(r) is RootSet for r in got)
+        assert repr(got) == repr([solve_cubic(MonicCubic(*row)) for row in rows])
+        assert called == [MonicCubic(*rows[i]) for i in fallback]
 
     @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE), max_size=40))
     def test_matches_solve_cubic_across_the_float_range(self, rows):

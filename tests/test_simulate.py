@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -20,7 +22,7 @@ from fvw import (
     single_mode_field,
     uniform_field,
 )
-from fvw.simulate import write_snapshots_csv
+from fvw.simulate import _fmt, _write_csv, write_snapshots_csv
 
 
 def dist_to_equilibrium(traj, eq):
@@ -280,3 +282,29 @@ class TestSimulatePde:
         snap.write_csv(single)
         write_snapshots_csv([snap], many)
         assert single.read_bytes() == many.read_bytes()
+
+
+class TestCsvWriter:
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # _write_csv joins _fmt cells with commas and ends lines with \r\n; no cell needs quoting, so the
+        # bytes must be those csv.writer writes for the same cells.
+        header = ["label", "flag", "n", "x"]
+        rows = [
+            ["coexistence", True, 3, 0.1],
+            ["trivial", np.bool_(False), np.int64(-7), np.float64(1 / 3)],
+            ["stable", np.bool_(True), 0, math.nan],
+            ["unstable", False, np.int32(2**31 - 1), math.inf],
+            ["neutral", True, -(2**60), -math.inf],
+            ["zero", False, 1, -0.0],
+            ["tiny", True, 2, 5e-324],
+            [np.float64(-1e300), 1.7976931348623157e308, np.float64(math.nan), np.float64(-0.0)],
+        ]
+        path = tmp_path / "out.csv"
+        _write_csv(path, header, rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        assert path.read_bytes() == want.getvalue().encode()
+        assert path.read_bytes().splitlines()[1:3] == [b"coexistence,true,3,0.10000000000000001",
+                                                       b"trivial,false,-7,0.33333333333333331"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from fvw import (
     DegenerateDiffusion,
     DispersionSample,
     ModelParams,
+    MonicCubic,
     NoWaveTrain,
     NumericalFailure,
     VarsigmaOutOfRange,
@@ -98,6 +100,13 @@ class TestUpsilon:
 
     def test_small_alpha_blowup(self):
         assert upsilon(all_ones(alpha=1e-6)) > 1e2
+
+    def test_underflowing_denominator(self):
+        # sqrt(alpha^2 eps^2 + 4 alpha beta gamma delta) + alpha eps underflows to 0 for these rates.
+        p = all_ones(alpha=1e-300, beta=1e-300, epsilon=1e-300)
+        for fn in (upsilon, coexistence_state):
+            with pytest.raises(NumericalFailure, match="underflows to 0"):
+                fn(p)
 
     def test_routh_hurwitz_identity_random(self):
         rng = np.random.default_rng(31)
@@ -271,6 +280,29 @@ class TestDispersionArrayPass:
 
     def test_empty_grid(self, unstable_diffusive_params):
         assert dispersion_curve(unstable_diffusive_params, []) == []
+
+    def test_verdict_where_the_band_overflows(self, recwarn):
+        # a2 = 2e200 and a1 = 4e200 are finite, but a1 * a2 and so the band overflow to inf; Phi(0) = 4e250
+        # is finite and positive, yet _gap_verdict calls the row MARGINAL, so it is not stable.
+        p = ModelParams(alpha=1e-200, beta=1e-100, gamma=1e100, delta=1e-100, epsilon=1e-100, eta=1e100,
+                        zeta=1e-200)
+        got = dispersion_curve(p, [0.0, 1.0])
+        assert not recwarn.list
+        for s in got:
+            assert math.isinf(s.a1 * s.a2) and math.isfinite(s.phi) and s.phi > 0.0
+            assert _gap_verdict(MonicCubic(s.a2, s.a1, s.a0), s.phi) is Verdict.MARGINAL
+            assert s.stable is False
+        assert repr(got) == repr(scalar_dispersion(p, [0.0, 1.0]))
+
+    def test_sample_is_a_named_tuple_with_the_dataclass_repr(self, unstable_diffusive_params):
+        # DispersionSample was a frozen dataclass; as a NamedTuple it keeps its fields, their order and its repr.
+        former = dataclasses.make_dataclass(
+            "DispersionSample", list(DispersionSample.__annotations__.items()), frozen=True)
+        names = ("mu", "a2", "a1", "a0", "phi", "eigenvalues", "stable")
+        assert issubclass(DispersionSample, tuple) and DispersionSample._fields == names
+        (sample,) = dispersion_curve(unstable_diffusive_params, [0.5])
+        assert repr(sample) == repr(former(*sample))
+        assert repr(sample).startswith("DispersionSample(mu=0.5, a2=")
 
     @pytest.mark.parametrize("c, d", [(1.0, 1.0), (0.0, 1.0), (0.0, 0.0)])
     def test_infinite_mu_raises_without_warnings(self, c, d, recwarn):
