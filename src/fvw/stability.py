@@ -64,6 +64,14 @@ def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
     return MonicCubic(a2, a1, a0)
 
 
+def _finite(what: str, coeffs: tuple, *values: float) -> tuple:
+    """coeffs, checked ahead of every solve of Phi or of a mode or competition cubic: valid rates whose
+    coefficients, or the `values` computed from them, leave the float range are a numerical failure."""
+    if not all(math.isfinite(x) for x in values or coeffs):
+        raise NumericalFailure(f"{what} is not finite: its coefficients {tuple(coeffs)} leave the float range")
+    return coeffs
+
+
 def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     """Stability verdict for "E0" (trivial, always unstable) or "E1" (coexistence)."""
     if which == "E0":
@@ -75,15 +83,15 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
         )
     if which != "E1":
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
-    poly = dispersion_coefficients(p, 0.0)
+    poly = _finite("the mode cubic", dispersion_coefficients(p, 0.0))
     return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly, phi_cubic(p).b0)], solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
     """Linearization about the coexistence equilibrium for a single spatial mode
     with squared wavenumber mu; reduces to the reaction Jacobian at mu = 0."""
-    if mu < 0:
-        raise ValidationError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     A = jacobian(coexistence_state(p), p)
     A[0, 0] -= p.c * mu
     A[2, 2] -= p.d * mu
@@ -128,11 +136,6 @@ class DispersionSample(NamedTuple):
     stable: bool
 
 
-def _check_phi_finite(phi: PhiCubic, *values: float) -> None:
-    if not all(math.isfinite(x) for x in values):
-        raise NumericalFailure(f"Phi(mu) is not finite: its coefficients {tuple(phi)} leave the float range")
-
-
 def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[DispersionSample]:
     """Sample the mode spectrum over a grid of squared wavenumbers; phi and the verdict
     come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure.
@@ -148,8 +151,8 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     finite = np.isfinite(gap) & np.isfinite(a2) & np.isfinite(a1) & np.isfinite(a0)
     if not finite.all():  # raise what the first such sample raises on its own
         i = int(np.argmin(finite))
-        _check_phi_finite(phi, float(gap[i]))
-        solve_cubic(MonicCubic(float(a2[i]), float(a1[i]), float(a0[i])))
+        _finite("Phi(mu)", phi, float(gap[i]))
+        _finite("the mode cubic", (float(a2[i]), float(a1[i]), float(a0[i])))
     return list(map(DispersionSample, mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(),
                     _solve_cubics(a2, a1, a0), stable.tolist()))
 
@@ -191,7 +194,7 @@ def find_k0(p: ModelParams) -> DiffusionThreshold:
     phi = phi_cubic(p)
     if phi.b0 >= 0.0:
         return DiffusionThreshold(0.0, 0.0)
-    _check_phi_finite(phi, *phi)
+    _finite("Phi(mu)", phi)
     mu = _phi_positive_root(phi)
     return DiffusionThreshold(mu, math.sqrt(mu))
 
@@ -208,30 +211,17 @@ class WaveTrain:
     span_basis: tuple[np.ndarray, np.ndarray]  # (Re X*, Im X*)
 
 
-def _inverse_iteration(A: np.ndarray, shift: complex) -> np.ndarray:
-    """Eigenvector for the eigenvalue nearest `shift` via shifted inverse iteration
-    from the all-ones vector, with deterministic phase normalization. An iterate that is
-    not finite raises NumericalFailure."""
-    n = A.shape[0]
-    B = A.astype(complex) - shift * np.eye(n)
-    x = np.ones(n, dtype=complex)
-    x /= np.linalg.norm(x)
-    for _ in range(4):
-        try:
-            y = np.linalg.solve(B, x)
-        except np.linalg.LinAlgError:
-            y = np.linalg.solve(B + 1e-14 * np.linalg.norm(A) * np.eye(n), x)
-        if not np.isfinite(y).all():
-            raise NumericalFailure(f"inverse iteration for the eigenvector at {shift} left the float range")
-        # Scaled by 2^-e to a largest component in [1/2, 1), so that the norm's sum of squares neither
-        # overflows nor underflows; the power of two, in two factors that stay in range, is exact.
-        e = math.frexp(float(np.max(np.abs(y))))[1]
-        y = y * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -e - (-e // 2))
-        x = y / np.linalg.norm(y)
-    # Largest-magnitude component made real and positive.
+def _null_vector(A: np.ndarray, lam: complex) -> np.ndarray:
+    """Unit eigenvector of A for LAPACK's eigenvalue nearest `lam`: the right singular vector of
+    A minus that eigenvalue for the smallest singular value, with its largest-magnitude component
+    made real and positive. A matrix LAPACK cannot take (an inf or nan entry) raises NumericalFailure."""
+    try:
+        eigs = np.linalg.eigvals(A)
+        x = np.linalg.svd(A - eigs[np.argmin(np.abs(eigs - lam))] * np.eye(len(A)))[2][-1].conj()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigenvector for the eigenvalue nearest {lam} not found: {exc}") from None
     i = int(np.argmax(np.abs(x)))
-    x = x * (abs(x[i]) / x[i])
-    return x
+    return x * (abs(x[i]) / x[i])
 
 
 def find_wavetrain(p: ModelParams) -> WaveTrain:
@@ -243,33 +233,23 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
     if phi_cubic(p).b0 >= 0.0:
         raise NoWaveTrain("no wave train: Upsilon >= 0")
     mu = find_k0(p).mu_threshold
-    fact = imaginary_root_factorization(dispersion_coefficients(p, mu))
+    fact = imaginary_root_factorization(_finite("the mode cubic", dispersion_coefficients(p, mu)))
     if fact is None:
         raise NoWaveTrain(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
-    x = _inverse_iteration(mode_matrix(p, mu), 1j * fact.sigma)
-    return WaveTrain(
-        mu_star=mu,
-        sigma_star=fact.sigma,
-        eigvec=x,
-        decay_eigenvalue=fact.real_root,
-        span_basis=(x.real.copy(), x.imag.copy()),
-    )
+    x = _null_vector(mode_matrix(p, mu), 1j * fact.sigma)
+    return WaveTrain(mu_star=mu, sigma_star=fact.sigma, eigvec=x, decay_eigenvalue=fact.real_root,
+                     span_basis=(x.real.copy(), x.imag.copy()))
 
 
 def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
-    """Real unit eigenvector of A(mu) for its real eigenvalue closest to -a2(mu): inverse
-    iteration is shifted by that eigenvalue, a real root of `solve_cubic`, then twice more by
-    the Rayleigh quotient of its result. At the wave train's mu* the eigenvalue is -a2(mu*)
-    itself, the decay eigenvalue."""
-    poly = dispersion_coefficients(p, mu)
-    lam = min((r.real for r in solve_cubic(poly).roots if r.imag == 0.0), key=lambda r: abs(r + poly.a2))
+    """Real unit eigenvector of A(mu) for its real eigenvalue closest to -a2(mu), a real root of
+    `solve_cubic`: the null vector of A(mu) minus LAPACK's eigenvalue nearest that root, which
+    stays accurate beside a near-double eigenvalue the cubic's coefficients do not separate. At
+    the wave train's mu* the eigenvalue is -a2(mu*) itself, the decay eigenvalue."""
     A = mode_matrix(p, mu)
-    # The root is as accurate as the cubic's coefficients allow, which beside a near-double
-    # eigenvalue of A does not separate the pair; the Rayleigh quotient is A's own estimate.
-    for _ in range(3):
-        w = _inverse_iteration(A, complex(lam)).real
-        lam = w @ A @ w
-    return w / np.linalg.norm(w)
+    poly = _finite("the mode cubic", dispersion_coefficients(p, mu))
+    lam = min((r.real for r in solve_cubic(poly).roots if r.imag == 0.0), key=lambda r: abs(r + poly.a2))
+    return _null_vector(A, lam).real
 
 
 def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> np.ndarray:
@@ -281,8 +261,8 @@ def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> 
 def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:
     if not (0.0 < varsigma < p.epsilon):
         raise VarsigmaOutOfRange(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
-    if mu <= 0.0:
-        raise ValidationError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError(f"mu must be positive and finite, got {mu}")
 
 
 def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray:
@@ -316,7 +296,7 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
         base.a1 - varsigma * (s + (p.c + p.d) * mu),
         base.a0 - p.c * mu * varsigma * (s + p.d * mu),
     )
-    eigs = solve_cubic(q)
+    eigs = solve_cubic(_finite("the competition cubic", q))
     real_roots = [r.real for r in eigs.roots if abs(r.imag) <= _band(abs(r))]
     continuation = min(real_roots, key=lambda r: abs(r - varsigma)) if real_roots else math.nan
     return CompetitionSpectrum(

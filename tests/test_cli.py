@@ -20,6 +20,9 @@ UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
 # mpmath.polyroots their eigenvalue columns lost no accuracy in the worst row or in the sum.
 # The dispersion digest's phi column is Phi(mu) from phi_cubic; against mpmath at 80 digits it
 # lost no accuracy in the worst row (14.6 -> 10.6 ulps) or in the sum (103.7 -> 50.2 ulps).
+# The wavetrain digest's F/V/W columns are the LAPACK null vector of A(mu*) - i sigma*; against an
+# mpmath eigenvector normalized the same way, its error grew from 6.4e-17 to 4.6e-16 (2-norm), the
+# cost of one eigenvector routine that also holds beside near-Jordan pairs of eigenvalues.
 CSV_DIGESTS = [
     (["equilibria", "--alpha", "2", "--epsilon", "0.1"],
      "497c501693b4a9784b9771c92469a7306e4e6a9ec41a3335da0628f638a678d4"),
@@ -28,7 +31,7 @@ CSV_DIGESTS = [
     (["dispersion", *UNSTABLE_FLAGS, "--mu-max", "2", "--samples", "51"],
      "699b5aaa5662daffc07d911f467b47e86b32b5eeefd6a5e8e5f9e0fc5fec608f"),
     (["wavetrain", *UNSTABLE_FLAGS],
-     "d9145726eb90b5ef7f7784049060787056054ec483787c961479b5154cdd301b"),
+     "d1f0f016244eb6d033add918c5bdd3597b3f8a13afdb35e39421b1439058f961"),
     (["competition", "--gamma", "0.01", "--c", "1", "--d", "1", "--mu", "0.01", "--varsigma", "0.5"],
      "62222571e9b82e4dff18c0608837f571fd2327e4c3f5c6b624f3a6b7ba24ed3f"),
     (["simulate-ode", "--f0", "1", "--v0", "1", "--w0", "0.5", "--dt", "0.1", "--t-final", "2"],
@@ -220,20 +223,47 @@ class TestExtremeMagnitudes:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "rate, code", [("--eta=1e200", 0), ("--delta=1e-300", 0), ("--zeta=1e-300", 0), ("--eta=1e-300", 3)],
-        ids=["eta-1e200", "delta-1e-300", "zeta-1e-300", "eta-1e-300"],
+        "args, code",
+        [(["--eta=1e200"], 0), (["--delta=1e-300"], 0), (["--zeta=1e-300"], 0), (["--eta=1e-300"], 0),
+         # Overrides every flag of UNSTABLE_FLAGS; A(mu*) holds inf.
+         (["--alpha", "1.4419514174222372e+50", "--beta", "2.3855378186875e-48", "--gamma", "1.230872055701697e-190",
+           "--delta", "3.84787611798078e-125", "--epsilon", "5.666386847325011e-125",
+           "--eta", "2.7986899234314622e-42", "--zeta", "2.724289696687403e+299",
+           "--c", "3.39754429272263e-89", "--d", "2.676511363378864e-32"], 3)],
+        ids=["eta-1e200", "delta-1e-300", "zeta-1e-300", "eta-1e-300", "inf-in-A"],
     )
-    def test_wavetrain_eigenvector_at_extreme_rates(self, tmp_path, capsys, rate, code):
-        # The eigenvector's norm is taken after scaling by a power of two, so components near 1e200 or
-        # 1e-300 no longer overflow its sum of squares; an iterate that is not finite exits 3, never 0 with nan.
+    def test_wavetrain_eigenvector_at_extreme_rates(self, tmp_path, capsys, args, code):
+        # The eigenvector is a LAPACK singular vector, unit-norm at any scale of A: rates near 1e200 or
+        # 1e-300 write finite cells, and a matrix LAPACK cannot take exits 3, never 0 with nan.
         out = tmp_path / "out.csv"
-        assert main(["wavetrain", *UNSTABLE_FLAGS, rate, "--output", str(out)]) == code
+        assert main(["wavetrain", *UNSTABLE_FLAGS, *args, "--output", str(out)]) == code
         if code == 0:
             _, rows = read_csv(out)
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         else:
-            assert capsys.readouterr().err.startswith("error: inverse iteration")
+            assert capsys.readouterr().err.startswith("error: eigenvector for the eigenvalue nearest")
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["stability", "--gamma", "1e300"], 3, "the mode cubic is not finite"),
+            (["dispersion", "--gamma", "1e300", "--samples", "3"], 3, "the mode cubic is not finite"),
+            (["competition", "--gamma", "1e300"], 3, "the competition cubic is not finite"),
+            (["sweep", "--gamma", "1e300", "--samples", "3"], 3, "the mode cubic is not finite"),
+            (["competition", "--mu", "nan"], 2, "mu must be positive and finite"),
+            (["competition", "--mu", "inf"], 2, "mu must be positive and finite"),
+        ],
+        ids=["stability-gamma", "dispersion-gamma", "competition-gamma", "sweep-gamma", "competition-mu-nan",
+             "competition-mu-inf"],
+    )
+    def test_overflowing_cubic_coefficients(self, tmp_path, capsys, argv, code, message):
+        # Valid rates whose mode or competition cubic leaves the float range have no result (exit 3);
+        # a mu that is not finite is invalid input (exit 2).
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == code
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["equilibria", "stability", "dispersion"])
     def test_underflowing_equilibrium(self, tmp_path, capsys, command):

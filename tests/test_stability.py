@@ -403,6 +403,23 @@ class TestWaveTrain:
         for got, want in zip(eigs, expected):
             assert abs(got - want) <= 1e-8
 
+    @given(draws=st.lists(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp), min_size=9, max_size=9))
+    def test_eigenvector_matches_mpmath(self, draws):
+        rates = dict(zip(NAMES, draws))
+        # Upsilon < 0 needs alpha > delta: ordering the pair keeps hypothesis from filtering most draws.
+        rates["alpha"], rates["delta"] = max(draws[0], draws[3]), min(draws[0], draws[3])
+        p = ModelParams(**rates)
+        assume(upsilon(p) < 0)
+        wt = find_wavetrain(p)
+        with mpmath.workdps(50):
+            values, vectors = mpmath.eig(mpmath.matrix(mode_matrix(p, wt.mu_star).tolist()))
+            j = min(range(3), key=lambda k: abs(values[k] - 1j * wt.sigma_star))
+            x = [vectors[i, j] for i in range(3)]
+            big = max(x, key=abs)  # normalized as X*: unit norm, largest component real and positive
+            scale = abs(big) / big / mpmath.sqrt(sum(abs(z) ** 2 for z in x))
+            want = np.array([complex(z * scale) for z in x])
+        assert np.linalg.norm(wt.eigvec - want) <= 1e-12
+
     def test_span_basis_independent(self, unstable_diffusive_params):
         wt = find_wavetrain(unstable_diffusive_params)
         M = np.vstack(wt.span_basis)
@@ -477,6 +494,23 @@ class TestModeAttraction:
         A = mode_matrix(p, mu)
         x = slow_eigenvector(p, mu)
         lam = x @ A @ x  # the Rayleigh quotient: the eigenvalue estimate with the least residual
+        assert np.linalg.norm(A @ x - lam * x) <= 1e-12 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [dict(alpha=math.exp(2), beta=math.exp(-4), delta=math.exp(-3), epsilon=math.exp(-6),
+              c=math.exp(13.125), d=math.exp(13.125)),
+         dict(alpha=math.exp(-2), beta=1.0, delta=math.exp(3), epsilon=math.exp(12), c=math.exp(12),
+              d=math.exp(-6))],
+        ids=["c-equals-d", "d-small"],
+    )
+    def test_slow_eigenvector_beside_a_near_double_eigenvalue(self, rates):
+        # A(1) has two eigenvalues ~2e-8 apart in relative terms, which solve_cubic returns as one
+        # double root between them; the vector must still hold to A's own eigenvalue.
+        p = all_ones(**rates)
+        A = mode_matrix(p, 1.0)
+        x = slow_eigenvector(p, 1.0)
+        lam = x @ A @ x
         assert np.linalg.norm(A @ x - lam * x) <= 1e-12 * np.linalg.norm(A)
 
     def test_convergence_to_wave_span(self, unstable_diffusive_params):
