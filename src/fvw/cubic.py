@@ -241,6 +241,6 @@ def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactori
     sigma = math.sqrt(p.a1)
     # Factorization residual check at the imaginary root.
     residual = abs(p(complex(0.0, sigma)))
-    if residual > _band(sigma**3) * 10.0:
+    if residual > _band(sigma * sigma * sigma) * 10.0:  # not sigma**3, which raises OverflowError past 5.6e102
         return None
     return ImaginaryRootFactorization(sigma, -p.a2)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 
 _RATE_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta")
+_TINY = 2.0**-1022  # sys.float_info.min, the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -73,33 +74,45 @@ class Equilibrium(NamedTuple):
     point: State
 
 
+def _coexistence(p: ModelParams) -> tuple[State, float]:
+    """(E1, Upsilon) from one D = sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps: w* = 2 alpha gamma / D,
+    the root without cancellation, f* = zeta w*/eta, v* = beta w*/alpha, Upsilon = 2 beta gamma (delta - alpha)/D + eps.
+    The float-range rule: D, f*, v* and w* must be normal floats and Upsilon finite, else NumericalFailure."""
+    ae, a2, e2 = p.alpha * p.epsilon, p.alpha**2, p.epsilon**2  # ** raises OverflowError past 1.3e154
+    ab = 4.0 * p.alpha * p.beta
+    abd = ab * p.delta
+    sq, product = a2 * e2, abd * p.gamma
+    radicand = sq + product
+    if min(ae, a2, e2, sq, ab, abd, product) < _TINY or radicand == math.inf:
+        # A partial product left the normal range; these factors leave it only where D does.
+        cross = 2.0 * (math.sqrt(p.alpha) * math.sqrt(p.gamma)) * (math.sqrt(p.beta) * math.sqrt(p.delta))
+        d = math.hypot(ae, cross) + ae
+    else:
+        d = math.sqrt(radicand) + ae
+    if _TINY <= d < math.inf:  # checked before anything divides by D
+        w = 2.0 * p.alpha * p.gamma / d
+        f, v = p.zeta * w / p.eta, p.beta * w / p.alpha
+        ups = 2.0 * p.beta * p.gamma * (p.delta - p.alpha) / d + p.epsilon
+        if _TINY <= f < math.inf and _TINY <= v < math.inf and _TINY <= w < math.inf and math.isfinite(ups):
+            return State(f, v, w), ups
+    raise NumericalFailure(f"the coexistence equilibrium or Upsilon leaves the float range (D = {d})")
+
+
 def coexistence_w(p: ModelParams) -> float:
-    # Rationalized form of (sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) - alpha eps) / (2 beta delta);
-    # avoids cancellation when 4 alpha beta delta gamma << alpha^2 eps^2.
-    disc = math.sqrt(p.alpha**2 * p.epsilon**2 + 4.0 * p.alpha * p.beta * p.delta * p.gamma)
-    return 2.0 * p.alpha * p.gamma / _nonzero_denominator(disc + p.alpha * p.epsilon)
-
-
-def _nonzero_denominator(x: float) -> float:
-    """x, the denominator sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps of w* and Upsilon;
-    a NumericalFailure where it underflows to 0, as it does for rates near 1e-300."""
-    if x == 0.0:
-        raise NumericalFailure("the coexistence equilibrium leaves the float range: "
-                               "sqrt(alpha^2 epsilon^2 + 4 alpha beta delta gamma) + alpha epsilon underflows to 0")
-    return x
+    return _coexistence(p)[0].w
 
 
 def coexistence_state(p: ModelParams) -> State:
     """Coordinates (f*, v*, w*) of the coexistence equilibrium."""
-    w = coexistence_w(p)
-    return State(p.zeta * w / p.eta, p.beta * w / p.alpha, w)
+    return _coexistence(p)[0]
 
 
 def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
     """The trivial equilibrium (0, 0, gamma/epsilon) and the coexistence equilibrium."""
-    trivial = Equilibrium("trivial", State(0.0, 0.0, p.gamma / p.epsilon))
-    coexistence = Equilibrium("coexistence", coexistence_state(p))
-    return trivial, coexistence
+    w0 = p.gamma / p.epsilon
+    if not _TINY <= w0 < math.inf:  # the float-range rule of `_coexistence`
+        raise NumericalFailure(f"the trivial equilibrium leaves the float range: gamma/epsilon = {w0}")
+    return Equilibrium("trivial", State(0.0, 0.0, w0)), Equilibrium("coexistence", coexistence_state(p))
 
 
 def _reaction_terms(p: ModelParams, f, v, w):

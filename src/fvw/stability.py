@@ -17,7 +17,7 @@ from .cubic import (
     MonicCubic, RootSet, Verdict, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
 )
 from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
-from .model import ModelParams, _nonzero_denominator, coexistence_state, jacobian
+from .model import ModelParams, _coexistence, coexistence_state, jacobian
 
 
 class Classification(enum.Enum):
@@ -43,21 +43,19 @@ class StabilityVerdict:
 def upsilon(p: ModelParams) -> float:
     """Scalar discriminant classifying the coexistence equilibrium: stable for
     positive values, unstable for negative, neutral at zero."""
-    disc = math.sqrt(p.alpha**2 * p.epsilon**2 + 4.0 * p.alpha * p.beta * p.gamma * p.delta)
-    den = _nonzero_denominator(disc + p.alpha * p.epsilon)
-    return 2.0 * p.beta * p.gamma * (p.delta - p.alpha) / den + p.epsilon
+    return _coexistence(p)[1]
 
 
-def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float]:
-    """(f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*, delta zeta v* w*) at the coexistence equilibrium."""
-    f, v, w = coexistence_state(p)
-    return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w
+def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, float]:
+    """(f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*, delta zeta v* w*, Upsilon) at E1."""
+    (f, v, w), ups = _coexistence(p)
+    return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w, ups
 
 
 def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
     """Characteristic-polynomial coefficients (a2, a1, a0) of the mode matrix A(mu); mu may be a
     float or a 1-D array, which gives arrays of coefficients with the same bits per element."""
-    f, v, w, s, fire_veg, veg_water = _coexistence_terms(p)
+    f, v, w, s, fire_veg, veg_water, _ = _coexistence_terms(p)
     a2 = (p.c + p.d) * mu + s
     a1 = p.c * mu * (p.d * mu + s) + fire_veg + veg_water
     a0 = p.c * mu * veg_water + fire_veg * (s + p.d * mu) + p.beta * p.delta * p.eta * f * v * w
@@ -78,6 +76,8 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
         eigs = sorted(
             (-p.beta * p.gamma / p.epsilon, p.gamma * p.zeta / p.epsilon, -p.epsilon)
         )
+        if not all(map(math.isfinite, eigs)):
+            raise NumericalFailure(f"the trivial equilibrium leaves the float range: eigenvalues {tuple(eigs)}")
         return StabilityVerdict(
             upsilon(p), Classification.UNSTABLE, RootSet(tuple(complex(e) for e in eigs))
         )
@@ -118,11 +118,11 @@ def phi_cubic(p: ModelParams) -> PhiCubic:
     """The one source of Phi(mu): its coefficients come from the coexistence-state terms, with
     b0 = delta zeta v* w* Upsilon, so Phi(mu) carries none of the cancellation of a1 a2 - a0.
     The returned cubic evaluates at a float mu or elementwise at a 1-D array of them."""
-    _, _, _, s, fire_veg, veg_water = _coexistence_terms(p)
+    _, _, _, s, fire_veg, veg_water, ups = _coexistence_terms(p)
     b3 = p.c * p.d * (p.c + p.d)
     b2 = p.c * (p.c + 2.0 * p.d) * s
     b1 = p.c * s * s + p.d * veg_water + p.c * fire_veg
-    b0 = veg_water * upsilon(p)
+    b0 = veg_water * ups
     return PhiCubic(b3, b2, b1, b0)
 
 

@@ -267,14 +267,75 @@ class TestExtremeMagnitudes:
 
     @pytest.mark.parametrize("command", ["equilibria", "stability", "dispersion"])
     def test_underflowing_equilibrium(self, tmp_path, capsys, command):
-        # sqrt(alpha^2 epsilon^2 + 4 alpha beta delta gamma) + alpha epsilon, the denominator of w* and
-        # Upsilon, underflows to 0 here; that is a typed error, not a ZeroDivisionError traceback.
+        # alpha eps and 4 alpha beta delta gamma underflow here, so D = sqrt(alpha^2 eps^2 + 4 alpha beta delta
+        # gamma) + alpha eps, the denominator of w* and Upsilon, comes from its hypot form: E1 = (1, 1, 1) and
+        # Upsilon = 1, as mpmath gives them, and with c = d = 0 Phi(mu) = delta zeta v* w* Upsilon = 1.
         out = tmp_path / "out.csv"
         argv = [command, "--alpha", "1e-300", "--beta", "1e-300", "--epsilon", "1e-300", "--output", str(out)]
-        assert main(argv) in (2, 3)
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        if command == "equilibria":
+            assert [float(x) for x in rows[1][1:]] == pytest.approx([1.0, 1.0, 1.0], rel=1e-15)
+        elif command == "stability":
+            assert float(rows[1][header.index("upsilon")]) == pytest.approx(1.0, rel=1e-15)
+        else:
+            assert [float(row[header.index("phi")]) for row in rows] == pytest.approx([1.0] * len(rows), rel=1e-15)
+        # Here v* ~ 1e315 leaves the float range: a typed error, not a traceback or a CSV.
+        out.unlink()
+        assert main([command, "--beta", "1e300", "--gamma", "1e300", "--delta", "1e-30", "--output", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "underflows to 0" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "leaves the float range" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["equilibria", "--gamma", "1e300", "--epsilon", "1e-10"],
+         ["stability", "--beta", "1e150", "--gamma", "1e150", "--epsilon", "1e-10"]],
+        ids=["equilibria-gamma-over-epsilon", "stability-e0-eigenvalue"],
+    )
+    def test_trivial_equilibrium_leaves_the_float_range(self, tmp_path, capsys, argv):
+        # E0 = (0, 0, gamma/epsilon) and its eigenvalue -beta gamma/epsilon overflow to inf here: exit 3.
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "the trivial equilibrium leaves the float range" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_wavetrain_with_sigma_past_the_power_range(self, tmp_path):
+        # sigma* = 1.6e125: the factorization's band sigma^3 overflows to inf as a product (Python's
+        # float ** raises OverflowError past 5.6e102), so the run writes finite cells or exits 3.
+        out = tmp_path / "out.csv"
+        code = main(["wavetrain", *UNSTABLE_FLAGS, "--zeta", "1e250", "--output", str(out)])
+        assert code in (0, 3)
+        if code == 0:
+            _, rows = read_csv(out)
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract_at_the_float_range_edges(self, tmp_path, capsys, data):
+        # c, d and five rates log-uniform in [1e-300, 1e300]; alpha and epsilon only in [1e-150, 1e150],
+        # because alpha**2 and epsilon**2 in the direct form of the equilibrium's denominator raise
+        # OverflowError past 1.3e154, the benchmark's known-defect probe that ROADMAP item 3 retires.
+        # Each run exits 0 with finite cells, or exits 2 or 3 with a typed error and no traceback.
+        out = tmp_path / "out.csv"
+        for command in ("equilibria", "stability", "dispersion", "competition"):
+            params = {name: data.draw(log_uniform(1e-150, 1e150) if name in ("alpha", "epsilon")
+                                      else log_uniform(1e-300, 1e300), label=name) for name in PARAMS}
+            options = {name: data.draw(RUN_VALUES[name], label=name) for name in COMMANDS[command][1]}
+            if "varsigma" in options:
+                options["varsigma"] *= params["epsilon"]
+            argv = [command] + [arg for name, value in {**params, **options}.items()
+                                for arg in (f"--{name.replace('_', '-')}", str(value))]
+            out.unlink(missing_ok=True)
+            code = main([*argv, "--output", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3) and out.exists() == (code == 0), argv
+            if code == 0:
+                _, rows = read_csv(out)
+                assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}, argv
+            else:
+                assert err.startswith("error: ") and "Traceback" not in err, argv
 
     def test_stability_does_not_read_diffusion(self, tmp_path):
         # The E1 verdict is Phi(0) = phi_cubic(p).b0, which holds no c or d.

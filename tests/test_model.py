@@ -1,10 +1,15 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvw import (
     ModelParams,
+    NumericalFailure,
     State,
     ValidationError,
     all_ones,
@@ -12,6 +17,7 @@ from fvw import (
     equilibria,
     jacobian,
     reaction_rhs,
+    upsilon,
 )
 
 from conftest import random_rates
@@ -81,6 +87,30 @@ class TestEquilibria:
             e1 = coexistence_state(p)
             resid = np.linalg.norm(reaction_rhs(e1, p))
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(e1))
+
+    @settings(max_examples=200)
+    @given(logs=st.lists(st.floats(math.log(1e-100), math.log(1e100)), min_size=7, max_size=7))
+    @example(logs=[math.log(1e-100)] * 7)  # alpha^2 eps^2 and 4 alpha beta delta gamma underflow to 0
+    def test_coexistence_matches_mpmath(self, logs):
+        # E1 and Upsilon from one denominator D = sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps,
+        # with the seven rates log-uniform in [1e-100, 1e100]: the values mpmath gives at 50 digits, or a
+        # NumericalFailure only where mpmath's E1 or Upsilon lies outside the normal float range.
+        p = ModelParams(*map(math.exp, logs))
+        with mpmath.workdps(50):
+            alpha, beta, gamma, delta, eps, eta, zeta = map(mpmath.mpf, (p.alpha, p.beta, p.gamma, p.delta,
+                                                                         p.epsilon, p.eta, p.zeta))
+            den = mpmath.sqrt(alpha**2 * eps**2 + 4 * alpha * beta * delta * gamma) + alpha * eps
+            w = 2 * alpha * gamma / den
+            e1 = (zeta * w / eta, beta * w / alpha, w)
+            in_range = all(sys.float_info.min <= x <= sys.float_info.max for x in e1)
+            want, want_ups = [float(x) for x in e1], float(2 * beta * gamma * (delta - alpha) / den + eps)
+        try:
+            got, ups = coexistence_state(p), upsilon(p)
+        except NumericalFailure:
+            assert not (in_range and math.isfinite(want_ups))
+            return
+        assert list(got) == pytest.approx(want, rel=1e-12)
+        assert abs(ups - want_ups) <= 1e-9 * (abs(want_ups) + p.epsilon)
 
 
 class TestReactionRhs:

@@ -102,10 +102,15 @@ class TestUpsilon:
         assert upsilon(all_ones(alpha=1e-6)) > 1e2
 
     def test_underflowing_denominator(self):
-        # sqrt(alpha^2 eps^2 + 4 alpha beta gamma delta) + alpha eps underflows to 0 for these rates.
+        # alpha eps and 4 alpha beta delta gamma underflow, so the direct form of
+        # D = sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps reads 0; its hypot form gives
+        # mpmath's E1 = (1, 1, 1) and Upsilon = 1. An E1 past the float range (v* ~ 1e315) is a typed error.
         p = all_ones(alpha=1e-300, beta=1e-300, epsilon=1e-300)
+        assert coexistence_state(p) == pytest.approx((1.0, 1.0, 1.0), rel=1e-15)
+        assert upsilon(p) == pytest.approx(1.0, rel=1e-15)
+        p = all_ones(beta=1e300, gamma=1e300, delta=1e-30)
         for fn in (upsilon, coexistence_state):
-            with pytest.raises(NumericalFailure, match="underflows to 0"):
+            with pytest.raises(NumericalFailure, match="the coexistence equilibrium or Upsilon leaves the float range"):
                 fn(p)
 
     def test_routh_hurwitz_identity_random(self):
@@ -282,10 +287,11 @@ class TestDispersionArrayPass:
         assert dispersion_curve(unstable_diffusive_params, []) == []
 
     def test_verdict_where_the_band_overflows(self, recwarn):
-        # a2 = 2e200 and a1 = 4e200 are finite, but a1 * a2 and so the band overflow to inf; Phi(0) = 4e250
-        # is finite and positive, yet _gap_verdict calls the row MARGINAL, so it is not stable.
-        p = ModelParams(alpha=1e-200, beta=1e-100, gamma=1e100, delta=1e-100, epsilon=1e-100, eta=1e100,
-                        zeta=1e-200)
+        # E1 = (1, 7.5e153, 1) as mpmath gives it; a2 = 1.125e154 and a1 = 1.875e154 are finite, but a1 * a2
+        # and so the band overflow to inf; Phi(0) = 4.2e307 is finite and positive, yet _gap_verdict calls the
+        # row MARGINAL, so it is not stable.
+        p = ModelParams(alpha=1.0, beta=7.5e153, gamma=1.125e154, delta=1.5, epsilon=1.0, eta=1.0, zeta=1.0)
+        assert coexistence_state(p) == pytest.approx((1.0, 7.5e153, 1.0), rel=1e-15)
         got = dispersion_curve(p, [0.0, 1.0])
         assert not recwarn.list
         for s in got:
