@@ -182,12 +182,10 @@ def cmd_competition(cfg: RunConfig) -> list[str]:
 
 def cmd_simulate_ode(cfg: RunConfig) -> list[str]:
     opts = cfg.options
-    eq = model.coexistence_state(cfg.params)
-    s0 = model.State(
-        opts["f0"] if opts["f0"] is not None else eq.f,
-        opts["v0"] if opts["v0"] is not None else eq.v,
-        opts["w0"] if opts["w0"] is not None else eq.w,
-    )
+    s0 = (opts["f0"], opts["v0"], opts["w0"])
+    if None in s0:  # E1 stands in for each initial value not given; with all three given it is not read
+        s0 = [e if x is None else x for x, e in zip(s0, model.coexistence_state(cfg.params))]
+    s0 = model.State(*s0)
     icfg = simulate.IntegratorConfig(
         method=opts["method"], t_final=opts["t_final"], dt=opts["dt"],
         rtol=opts["rtol"], atol=opts["atol"],

@@ -17,7 +17,7 @@ from .cubic import (
     MonicCubic, RootSet, Verdict, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
 )
 from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
-from .model import ModelParams, _coexistence, coexistence_state, jacobian
+from .model import ModelParams, _coexistence, _product_over, coexistence_state, jacobian
 
 
 class Classification(enum.Enum):
@@ -42,13 +42,16 @@ class StabilityVerdict:
 
 def upsilon(p: ModelParams) -> float:
     """Scalar discriminant classifying the coexistence equilibrium: stable for
-    positive values, unstable for negative, neutral at zero."""
-    return _coexistence(p)[1]
+    positive values, unstable for negative, neutral at zero. One that overflows is a NumericalFailure."""
+    ups = _coexistence(p)[3]
+    if not math.isfinite(ups):
+        raise NumericalFailure(f"Upsilon leaves the float range: {ups}")
+    return ups
 
 
 def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, float]:
     """(f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*, delta zeta v* w*, Upsilon) at E1."""
-    (f, v, w), ups = _coexistence(p)
+    f, v, w, ups = _coexistence(p)
     return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w, ups
 
 
@@ -74,7 +77,7 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     """Stability verdict for "E0" (trivial, always unstable) or "E1" (coexistence)."""
     if which == "E0":
         eigs = sorted(
-            (-p.beta * p.gamma / p.epsilon, p.gamma * p.zeta / p.epsilon, -p.epsilon)
+            (-_product_over(p.beta, p.gamma, p.epsilon), _product_over(p.gamma, p.zeta, p.epsilon), -p.epsilon)
         )
         if not all(map(math.isfinite, eigs)):
             raise NumericalFailure(f"the trivial equilibrium leaves the float range: eigenvalues {tuple(eigs)}")

@@ -288,6 +288,30 @@ class TestExtremeMagnitudes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, e1",
+        [(["--alpha", "1e-3", "--beta", "1e154", "--gamma", "1e154", "--delta", "2e-3"],
+          [0.5**0.5, 0.5**0.5 * 1e157, 0.5**0.5]),
+         (["--alpha", "1e10", "--beta", "1e-300"], [1.0, 1e-310, 1.0])],
+        ids=["overflowing-2-beta-gamma", "subnormal-v"],
+    )
+    def test_equilibrium_in_range_past_a_partial_product(self, tmp_path, argv, e1):
+        # 2 beta gamma = 2e308 overflows in the first case, and v* = 1e-310 is a subnormal float in the second;
+        # E1 is in range in both, as mpmath gives it.
+        out = tmp_path / "out.csv"
+        assert main(["equilibria", *argv, "--output", str(out)]) == 0
+        assert [float(x) for x in read_csv(out)[1][1][1:]] == pytest.approx(e1, rel=1e-13)
+        # simulate-ode reads E1 only for the initial values it is not given.
+        assert main(["simulate-ode", *argv, "--dt", "1e-170", "--t-final", "1e-170", "--output", str(out)]) == 0
+        assert [float(x) for x in read_csv(out)[1][0][1:]] == pytest.approx(e1, rel=1e-13)
+
+    def test_simulate_ode_reads_e1_only_for_missing_initial_values(self, tmp_path):
+        # v* ~ 1e315 leaves the float range, which matters only where E1 supplies an initial value.
+        out = tmp_path / "out.csv"
+        rates = ["--beta", "1e300", "--gamma", "1e300", "--delta", "1e-30", "--dt", "1e-301", "--t-final", "1e-300"]
+        assert main(["simulate-ode", *rates, "--f0", "1", "--v0", "1", "--w0", "1", "--output", str(out)]) == 0
+        assert main(["simulate-ode", *rates, "--v0", "1", "--w0", "1", "--output", str(out)]) == 3
+
+    @pytest.mark.parametrize(
         "argv",
         [["equilibria", "--gamma", "1e300", "--epsilon", "1e-10"],
          ["stability", "--beta", "1e150", "--gamma", "1e150", "--epsilon", "1e-10"]],

@@ -110,8 +110,20 @@ class TestUpsilon:
         assert upsilon(p) == pytest.approx(1.0, rel=1e-15)
         p = all_ones(beta=1e300, gamma=1e300, delta=1e-30)
         for fn in (upsilon, coexistence_state):
-            with pytest.raises(NumericalFailure, match="the coexistence equilibrium or Upsilon leaves the float range"):
+            with pytest.raises(NumericalFailure, match="the coexistence equilibrium leaves the float range"):
                 fn(p)
+
+    def test_partial_products_past_the_float_range(self):
+        # 2 beta gamma = 2e308 overflows, but Upsilon = (delta - alpha) v* + eps = 7.07e153 and
+        # E1 = (0.707, 7.07e156, 0.707) are in range, as mpmath gives them.
+        p = all_ones(alpha=1e-3, beta=1e154, gamma=1e154, delta=2e-3)
+        assert coexistence_state(p) == pytest.approx((0.5**0.5, 0.5**0.5 * 1e157, 0.5**0.5), rel=1e-15)
+        assert upsilon(p) == pytest.approx(0.5**0.5 * 1e154, rel=1e-15)
+        # E1 = (1e110, 1e290, 1e110) is in range, but Upsilon = -1e310 is not: only `upsilon` raises.
+        p = all_ones(alpha=1e20, beta=1e200, gamma=1e200, delta=1e-200)
+        assert coexistence_state(p) == pytest.approx((1e110, 1e290, 1e110), rel=1e-15)
+        with pytest.raises(NumericalFailure, match="Upsilon leaves the float range"):
+            upsilon(p)
 
     def test_routh_hurwitz_identity_random(self):
         rng = np.random.default_rng(31)
@@ -129,6 +141,11 @@ class TestClassifyEquilibrium:
         verdict = classify_equilibrium("E0", ones)
         assert verdict.classification is Classification.UNSTABLE
         assert [r for r in verdict.eigenvalues.roots] == [(-1 + 0j), (-1 + 0j), (1 + 0j)]
+
+    def test_trivial_eigenvalues_past_a_partial_product(self):
+        # beta gamma = 1e400 overflows, but the eigenvalue -beta gamma/epsilon = -1e250 is in range.
+        verdict = classify_equilibrium("E0", all_ones(beta=1e200, gamma=1e200, epsilon=1e150))
+        assert [r.real for r in verdict.eigenvalues.roots] == pytest.approx([-1e250, -1e150, 1e50], rel=1e-15)
 
     def test_coexistence_stable_all_ones(self, ones):
         verdict = classify_equilibrium("E1", ones)
