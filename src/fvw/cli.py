@@ -302,10 +302,9 @@ COMMANDS = {
     }),
 }
 
-def run(config: RunConfig, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def run(config: RunConfig) -> int:
     for line in COMMANDS[config.command][0](config):
-        stream.write(line + "\n")
+        sys.stdout.write(line + "\n")
     return 0
 
 

@@ -14,7 +14,6 @@ spatial operators handled elsewhere.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,50 +73,42 @@ class Equilibrium(NamedTuple):
     point: State
 
 
-def _product_over(x: float, y: float, z: float) -> float:
-    """x y / z for positive x, y, z: the direct form where x y is a normal float, else the quotient of frexp's
-    mantissas scaled by their exponents, so that a result in the float range is not lost to x y alone."""
-    xy = x * y
-    if sys.float_info.min <= xy < math.inf:
-        return xy / z
-    (mx, ex), (my, ey), (mz, ez) = math.frexp(x), math.frexp(y), math.frexp(z)
+def _ldexp(m: float, e: int) -> float:
+    """m 2^e, exact wherever the result is a normal float; past the float range it is +-inf."""
     try:
-        return math.ldexp(mx * my / mz, ex + ey - ez)
-    except OverflowError:  # the result itself is past the float range
-        return math.inf
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _product_over(x: float, y: float, z: float) -> float:
+    """x y / z for positive x, y, z, from frexp's mantissas with the exponents applied once."""
+    (mx, ex), (my, ey), (mz, ez) = math.frexp(x), math.frexp(y), math.frexp(z)
+    return _ldexp(mx * my / mz, ex + ey - ez)
 
 
 def _coexistence(p: ModelParams) -> tuple[float, float, float, float]:
     """(f*, v*, w*, Upsilon) from one D = sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps:
-    w* = 2 alpha gamma / D, the root without cancellation, f* = zeta w*/eta, v* = beta w*/alpha = 2 beta gamma / D,
-    and Upsilon = 2 beta gamma (delta - alpha)/D + eps = (delta - alpha) v* + eps. The float-range rule: D and w*,
-    which the rest is computed from, must be normal floats and f* and v* lie in (0, inf), else NumericalFailure.
-    Upsilon may still overflow; `stability.upsilon` checks it."""
-    tiny = sys.float_info.min
-    ae, a2, e2 = p.alpha * p.epsilon, p.alpha**2, p.epsilon**2  # ** raises OverflowError past 1.3e154
-    ab = 4.0 * p.alpha * p.beta
-    abd = ab * p.delta
-    sq, product = a2 * e2, abd * p.gamma
-    radicand = sq + product
-    if min(ae, a2, e2, sq, ab, abd, product) < tiny or radicand == math.inf:
-        # A partial product left the normal range; these factors leave it only where D does.
-        cross = 2.0 * (math.sqrt(p.alpha) * math.sqrt(p.gamma)) * (math.sqrt(p.beta) * math.sqrt(p.delta))
-        d = math.hypot(ae, cross) + ae
-    else:
-        d = math.sqrt(radicand) + ae
-    if not tiny <= d < math.inf:  # checked before anything divides by D
-        raise NumericalFailure(f"the coexistence equilibrium leaves the float range: D = {d}")
-    w = _product_over(2.0 * p.alpha, p.gamma, d)
-    f, v = _product_over(p.zeta, w, p.eta), _product_over(p.beta, w, p.alpha)
-    if not (tiny <= w < math.inf and 0.0 < f < math.inf and 0.0 < v < math.inf):
+    w* = 2 alpha gamma / D, the root without cancellation, f* = zeta w*/eta, v* = beta w*/alpha and
+    Upsilon = 2 beta gamma (delta - alpha)/D + eps. Each formula runs on the rates' frexp mantissas, with D
+    scaled by 2^-k to O(1), and each result's binary exponent is applied by one ldexp: the bits of the direct
+    formulas wherever their intermediates are normal floats, and no intermediate out of range elsewhere.
+    The float-range rule: f*, v* and w* lie in (0, inf), else NumericalFailure. Upsilon may still overflow;
+    `stability.upsilon` checks it."""
+    (a, ea), (b, eb), (g, eg), (dm, ed), (e, ee), (h, eh), (z, ez) = map(
+        math.frexp, (p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.eta, p.zeta)
+    )
+    s, es = math.frexp(p.delta - p.alpha)
+    sq, product = ea + ee, ea + eb + ed + eg  # binary exponents of alpha eps and 4 alpha beta delta gamma
+    k = max(sq, (product + 1) // 2)  # 2k >= the exponents of both terms of the radicand, so D 2^-k is O(1)
+    d = math.sqrt(math.ldexp(a * a * (e * e), 2 * (sq - k)) + math.ldexp(4.0 * a * b * dm * g, product - 2 * k))
+    d += math.ldexp(a * e, sq - k)
+    w, ew = 2.0 * a * g / d, ea + eg - k  # w* = w 2^ew
+    f, v = _ldexp(z * w / h, ez + ew - eh), _ldexp(b * w / a, eb + ew - ea)
+    w = _ldexp(w, ew)
+    if not (0.0 < f < math.inf and 0.0 < v < math.inf and 0.0 < w < math.inf):
         raise NumericalFailure(f"the coexistence equilibrium leaves the float range: (f*, v*, w*) = {(f, v, w)}")
-    bg = 2.0 * p.beta * p.gamma
-    numerator = bg * (p.delta - p.alpha)
-    if bg >= tiny and tiny <= abs(numerator) < math.inf:
-        return f, v, w, numerator / d + p.epsilon
-    # A partial product of Upsilon's numerator left the normal range; (delta - alpha) v* overflows only where
-    # Upsilon does.
-    return f, v, w, (p.delta - p.alpha) * v + p.epsilon
+    return f, v, w, _ldexp(2.0 * b * g * s / d, eb + eg + es - k) + p.epsilon
 
 
 def coexistence_w(p: ModelParams) -> float:
@@ -132,7 +123,7 @@ def coexistence_state(p: ModelParams) -> State:
 def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
     """The trivial equilibrium (0, 0, gamma/epsilon) and the coexistence equilibrium."""
     w0 = p.gamma / p.epsilon
-    if not 0.0 < w0 < math.inf:  # the float-range rule of `_coexistence`
+    if not 0.0 < w0 < math.inf:  # the rule of `_coexistence`: a coordinate lies in (0, inf)
         raise NumericalFailure(f"the trivial equilibrium leaves the float range: gamma/epsilon = {w0}")
     return Equilibrium("trivial", State(0.0, 0.0, w0)), Equilibrium("coexistence", coexistence_state(p))
 

@@ -208,11 +208,15 @@ class TestExtremeMagnitudes:
             (["competition", "--d", "1e200", "--gamma", "0.01", "--c", "1"], 0),
             (["dispersion", "--samples", "3", "--c", "1e200"], 3),
             (["wavetrain", "--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1e200"], 3),
+            (["stability", "--alpha", "1e200"], 0),
+            (["equilibria", "--alpha", "1e200"], 0),
         ],
-        ids=["dispersion-beta", "competition-d", "dispersion-c", "wavetrain-d"],
+        ids=["dispersion-beta", "competition-d", "dispersion-c", "wavetrain-d", "stability-alpha",
+             "equilibria-alpha"],
     )
     def test_exit_code_and_finite_cells(self, tmp_path, capsys, argv, code):
         # Coefficients near 1e200: exit 0 with finite cells, or exit 3 when Phi(mu) leaves the float range.
+        # At alpha = 1e200, alpha^2 eps^2 is past the float range while E1 = (1, 1e-200, 1) is not.
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == code
         if code == 0:
@@ -267,8 +271,8 @@ class TestExtremeMagnitudes:
 
     @pytest.mark.parametrize("command", ["equilibria", "stability", "dispersion"])
     def test_underflowing_equilibrium(self, tmp_path, capsys, command):
-        # alpha eps and 4 alpha beta delta gamma underflow here, so D = sqrt(alpha^2 eps^2 + 4 alpha beta delta
-        # gamma) + alpha eps, the denominator of w* and Upsilon, comes from its hypot form: E1 = (1, 1, 1) and
+        # alpha eps and 4 alpha beta delta gamma underflow here, but D = sqrt(alpha^2 eps^2 + 4 alpha beta delta
+        # gamma) + alpha eps, the denominator of w* and Upsilon, is scaled by a power of two: E1 = (1, 1, 1) and
         # Upsilon = 1, as mpmath gives them, and with c = d = 0 Phi(mu) = delta zeta v* w* Upsilon = 1.
         out = tmp_path / "out.csv"
         argv = [command, "--alpha", "1e-300", "--beta", "1e-300", "--epsilon", "1e-300", "--output", str(out)]
@@ -338,14 +342,12 @@ class TestExtremeMagnitudes:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_exit_code_contract_at_the_float_range_edges(self, tmp_path, capsys, data):
-        # c, d and five rates log-uniform in [1e-300, 1e300]; alpha and epsilon only in [1e-150, 1e150],
-        # because alpha**2 and epsilon**2 in the direct form of the equilibrium's denominator raise
-        # OverflowError past 1.3e154, the benchmark's known-defect probe that ROADMAP item 3 retires.
-        # Each run exits 0 with finite cells, or exits 2 or 3 with a typed error and no traceback.
+        # c, d and the seven rates log-uniform in [1e-300, 1e300], where partial products of E1 and Upsilon
+        # leave the float range. Each run exits 0 with finite cells, or exits 2 or 3 with a typed error and
+        # no traceback. wavetrain stays out: with c, d -> 0 it reaches Phi's bracket RuntimeError.
         out = tmp_path / "out.csv"
         for command in ("equilibria", "stability", "dispersion", "competition"):
-            params = {name: data.draw(log_uniform(1e-150, 1e150) if name in ("alpha", "epsilon")
-                                      else log_uniform(1e-300, 1e300), label=name) for name in PARAMS}
+            params = {name: data.draw(log_uniform(1e-300, 1e300), label=name) for name in PARAMS}
             options = {name: data.draw(RUN_VALUES[name], label=name) for name in COMMANDS[command][1]}
             if "varsigma" in options:
                 options["varsigma"] *= params["epsilon"]

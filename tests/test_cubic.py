@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvw import (
@@ -163,13 +163,20 @@ class TestSolveCubic:
                    for order in itertools.permutations(got)) <= 0.0
 
     @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=10, max_size=10))
+    @example(draws=[1.0, 1.0, 1.0, 1.0, math.exp(6), 1.0, 1.0, 1.0, math.exp(-10.5), math.exp(6)])  # kappa ~ 9e4
     def test_dispersion_roots_match_mpmath(self, draws):
+        # Each root within 1e-12 + 4 eps kappa relative, kappa its condition number as in
+        # test_roots_across_the_float_range: two close roots are only that well determined.
         names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
         poly = dispersion_coefficients(ModelParams(**dict(zip(names, draws))), draws[-1])
         got = solve_cubic(poly).roots
         with mpmath.workdps(60):
-            want = [complex(z) for z in mpmath.polyroots([1, *poly], maxsteps=200, extraprec=200)]
-        assert min(max(abs(g - w) / abs(w) for g, w in zip(order, want))
+            roots = mpmath.polyroots([1, *poly], maxsteps=200, extraprec=200)
+            kappa = [float(sum(abs(x) * abs(r) ** (2 - k) for k, x in enumerate(poly))
+                           / (abs(r) * abs(mpmath.fprod(r - s for j, s in enumerate(roots) if j != i))))
+                     for i, r in enumerate(roots)]
+            want = [complex(z) for z in roots]
+        assert min(max(abs(g - w) / abs(w) - 4.0 * 2.0**-52 * k for g, w, k in zip(order, want, kappa))
                    for order in itertools.permutations(got)) <= 1e-12
         verdict = _gap_verdict(poly, _gap(poly))
         if verdict is not Verdict.MARGINAL:

@@ -89,11 +89,15 @@ class TestEquilibria:
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(e1))
 
     @settings(max_examples=200)
-    @given(logs=st.lists(st.floats(math.log(1e-100), math.log(1e100)), min_size=7, max_size=7))
+    @given(logs=st.lists(st.floats(math.log(1e-300), math.log(1e300)), min_size=7, max_size=7))
     @example(logs=[math.log(1e-100)] * 7)  # alpha^2 eps^2 and 4 alpha beta delta gamma underflow to 0
+    # D itself below the normal range, D past 1.8e308, and Upsilon where v* is subnormal and 2 beta gamma is 0.
+    @example(logs=[math.log(x) for x in (2.0e-164, 8.8e-226, 6.5e-281, 100.0, 7.6e-227, 6.1e-195, 1.9e216)])
+    @example(logs=[math.log(x) for x in (1e76, 2.5e186, 2.5e157, 1.7e272, 1.2e-260, 3.1e-70, 5.9e269)])
+    @example(logs=[math.log(x) for x in (4.6e-52, 2.9e-295, 1.5e-122, 2.1e269, 1.4e-114, 8.0e-69, 7.4e284)])
     def test_coexistence_matches_mpmath(self, logs):
         # E1 and Upsilon from one denominator D = sqrt(alpha^2 eps^2 + 4 alpha beta delta gamma) + alpha eps,
-        # with the seven rates log-uniform in [1e-100, 1e100]: the values mpmath gives at 50 digits, or a
+        # with the seven rates log-uniform in [1e-300, 1e300]: the values mpmath gives at 50 digits, or a
         # NumericalFailure only where mpmath's E1 or Upsilon lies outside the normal float range.
         p = ModelParams(*map(math.exp, logs))
         with mpmath.workdps(50):
