@@ -140,27 +140,17 @@ def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
 
 
-def _sort_pair(re_a, im_a, re_b, im_b):
-    """Put each (a, b) in the order sorted() gives (real, imaginary) keys without a nan."""
-    swap = (re_b < re_a) | ((re_b == re_a) & (im_b < im_a))
-    return (np.where(swap, re_b, re_a), np.where(swap, im_b, im_a),
-            np.where(swap, re_a, re_b), np.where(swap, im_a, im_b))
-
-
 def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSet]:
     """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass
-    that takes the same steps in the same order and so gives the same bits. Rows whose cubic
-    `solve_cubic` would scale (|e| > 160), or with a root that is not finite, are solved by
-    `solve_cubic` itself."""
+    that takes the same steps in the same order, power-of-two scaling included, and so gives the
+    same bits."""
     coeffs = np.stack((a2, a1, a0))
     with np.errstate(all="ignore"):  # steps of rows that do not take them are computed and discarded
-        # solve_cubic scales the cubic when |e| > 160: when |a2| >= 2^160, |a1| >= 2^320 or |a0| >= 2^480,
-        # or when |a2| < 2^-161, |a1| < 2^-322 and |a0| < 2^-483 and not all three are zero.
-        size = np.abs(coeffs)
-        scaled = (size >= [[2.0**160], [2.0**320], [2.0**480]]).any(axis=0) | (
-            (size < [[2.0**-161], [2.0**-322], [2.0**-483]]).all(axis=0) & (size != 0.0).any(axis=0))
-        rows = np.flatnonzero(~scaled)
-        p = MonicCubic(*coeffs[:, rows])
+        # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients.
+        nonzero, power = coeffs != 0.0, np.array([[1], [2], [3]])
+        e = np.where(nonzero, -(-np.frexp(coeffs)[1] // power), np.iinfo(np.int32).min).max(axis=0)
+        e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
+        p = MonicCubic(*np.ldexp(coeffs, -power * e))
         b2, b1, b0 = p
         shift = b2 / 3.0
         q = b1 - b2 * b2 / 3.0
@@ -187,7 +177,7 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
         u = np.where(half_r <= 0, -half_r + root_term, -half_r - root_term)
         u = np.copysign(_libm(pow, np.abs(u), 1.0 / 3.0), u)
         t[card] = u + np.where(u != 0.0, -qc / 3.0 / u, 0.0) - shift[card]
-        # Newton polish: a row stops at its first rejected step.
+        # Newton polish in the scaled cubic: a row stops at its first rejected step.
         pt = p(t)
         live = np.ones(len(t), dtype=bool)
         for _ in range(2):
@@ -196,28 +186,21 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
             p_next = p(t_next)
             live &= (dp != 0.0) & (np.abs(p_next) <= np.abs(pt))
             t, pt = np.where(live, t_next, t), np.where(live, p_next, pt)
-        # The pair from the Vieta end that does not cancel, as in solve_cubic.
-        c = b1 + t * (b2 + t)
+        t = np.ldexp(t, e)
+        # The pair from the Vieta end of the original coefficients that does not cancel, as in solve_cubic.
+        c = a1 + t * (a2 + t)
         small = t * t < 2.0**-52 * np.abs(c)
-        t = np.where(small, -b0 / c, t)
-        c = np.where(small, c, np.where(t != 0.0, -b0 / t, b1))
-        h = np.where(t * t > np.abs(c), (b1 - c) / t, -b2 - t) / 2.0
+        t = np.where(small, -a0 / c, t)
+        c = np.where(small, c, np.where(t != 0.0, -a0 / t, a1))
+        h = np.where(t * t > np.abs(c), (a1 - c) / t, -a2 - t) / 2.0
         real = h * h >= c
         x = h + np.copysign(np.sqrt(h * h - c), h)
         y = np.sqrt(c - h * h)
-        roots = [t, np.zeros_like(t), np.where(real, x, h), np.where(real, 0.0, -y),
-                 np.where(real, np.where(x != 0.0, c / x, 0.0), h), np.where(real, 0.0, y)]
-    for i, j in ((0, 2), (2, 4), (0, 2)):  # a stable sort of the three roots (t, then the pair)
-        roots[i], roots[i + 1], roots[j], roots[j + 1] = _sort_pair(*roots[i:i + 2], *roots[j:j + 2])
-    z = np.empty((len(t), 3), dtype=complex)  # set part by part: h + 1j * y would turn h = -0.0 into 0.0
-    z.real, z.imag = np.stack(roots[0::2], axis=1), np.stack(roots[1::2], axis=1)
-    solved = np.zeros(len(a2), dtype=bool)
-    solved[rows] = np.isfinite(z).all(axis=1)
-    found = map(RootSet, map(tuple, z[solved[rows]].tolist()))
-    if solved.all():
-        return list(found)
-    return [next(found) if ok else solve_cubic(MonicCubic(*abc))
-            for ok, abc in zip(solved.tolist(), coeffs.T.tolist())]
+        z = np.zeros((len(t), 3), dtype=complex)  # set part by part: h + 1j * y would turn h = -0.0 into 0.0
+        z.real = np.stack((t, np.where(real, x, h), np.where(real, np.where(x != 0.0, c / x, 0.0), h)), axis=1)
+        z.imag[:, 1:] = np.where(real, 0.0, [-y, y]).T
+    # numpy orders complex values by (real, imaginary), the key solve_cubic sorts by; stable keeps ties.
+    return list(map(RootSet, map(tuple, np.sort(z, axis=1, kind="stable").tolist())))
 
 
 def hurwitz_negative(p: MonicCubic) -> Verdict:

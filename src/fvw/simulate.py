@@ -4,6 +4,7 @@ periodic domain, started from uniform or single-mode fields."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -90,6 +91,8 @@ def _rk4_step(rhs, y, h):
 
 def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the reaction ODE system from s0 up to cfg.t_final; a non-finite state raises StepFailure."""
+    if not all(map(math.isfinite, s0)):
+        raise ValidationError(f"initial state must be finite, got {tuple(s0)}")
     if cfg.method == "rk4":
         n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
         dt = cfg.t_final / n_steps
@@ -171,6 +174,8 @@ def single_mode_field(
         raise ValidationError(f"mode must lie in [1, N/2-1], got {mode}")
     if n > MAX_COUNT:
         raise ValidationError(f"grid must have at most {MAX_COUNT} points")
+    if not all(map(math.isfinite, (rho, *sin_amplitudes, *cos_amplitudes))):
+        raise ValidationError(f"rho and the mode amplitudes must be finite, got rho={rho}")
     eq = uniform_field(coexistence_state(p), n, domain_length)  # checks domain_length before the division below
     k = 2.0 * math.pi * mode / domain_length
     s_wave, c_wave = np.sin(k * eq.x), np.cos(k * eq.x)
@@ -202,7 +207,8 @@ def simulate_pde(
     requested times (the initial field is not included unless requested).
 
     The time step is clamped to the diffusion CFL bound (with a CFLWarning)
-    unless clamp=False, in which case violating the bound raises CFLViolation.
+    unless clamp=False, in which case violating the bound raises CFLViolation. More than
+    MAX_COUNT steps of the clamped dt, or an h^2 outside the normal floats, raise ValidationError.
     The fields are checked every 16 steps and at each snapshot; the first check that
     finds a non-finite value raises StepFailure naming its time.
     """
@@ -214,14 +220,15 @@ def simulate_pde(
 
     h = field0.domain_length / field0.grid_points
     bound = cfl_bound(h, p)
-    if bound == 0.0:
-        raise ValidationError(f"domain_length / grid_points = {h:.6g} makes the diffusion CFL bound underflow to 0")
-    dt = cfg.dt
-    if dt > bound:
-        if not clamp:
-            raise CFLViolation(f"dt={dt} exceeds the diffusion stability bound {bound:.6g}")
-        warnings.warn(f"dt clamped from {dt} to CFL bound {bound:.6g}", CFLWarning)
-        dt = bound
+    if bound == 0.0 or not sys.float_info.min <= h * h < math.inf:
+        raise ValidationError(f"domain_length / grid_points = {h:.6g} puts h^2 or the CFL bound outside the normal floats")
+    if cfg.dt > bound and not clamp:
+        raise CFLViolation(f"dt={cfg.dt} exceeds the diffusion stability bound {bound:.6g}")
+    dt = min(cfg.dt, bound)
+    if times and (times[-1] - field0.time) / dt > MAX_COUNT:
+        raise ValidationError(f"the snapshot times need more than {MAX_COUNT} steps of the clamped dt={dt:.6g}")
+    if dt < cfg.dt:
+        warnings.warn(f"dt clamped from {cfg.dt} to CFL bound {bound:.6g}", CFLWarning)
 
     def rhs(f, v, w):
         df, dv, dw = _reaction_terms(p, f, v, w)

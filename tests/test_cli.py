@@ -444,12 +444,21 @@ class TestValidationAndDeterminism:
             (["kernel-moments", "--scale", "1e-300"], "scale"),
             (["kernel-moments", "--dimension", "400"], "dimension"),
             (["kernel-moments", "--dimension", "100", "--scale", "1e6"], "dimension"),
+            # The CFL-clamped dt: 0.01 / 5e-311 steps overflow a float, and 3.3e31 steps exceed 2^53.
+            (["simulate-pde", "--c", "1e300", "--domain-length", "2.56e-3", "--t-final", "0.01", "--snapshots", "1"],
+             "steps"),
+            (["simulate-pde", "--c", "1e30", "--t-final", "0.01", "--snapshots", "1"], "steps"),
+            (["simulate-pde", "--domain-length", "1e-300"], "domain_length"),  # c = d = 0, h^2 underflows to 0
+            (["simulate-pde", "--rho", "inf"], "rho"),
+            (["simulate-pde", "--rho", "nan"], "rho"),
+            (["simulate-ode", "--f0", "nan", "--v0", "1", "--w0", "1"], "initial state"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
              "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
              "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
-             "kernel-dimension-100-scale-1e6"],
+             "kernel-dimension-100-scale-1e6", "pde-clamped-steps-overflow", "pde-clamped-steps-past-2^53",
+             "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"

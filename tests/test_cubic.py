@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -215,29 +216,29 @@ class TestArrayKernel:
     def test_fixed_rows(self, row):
         self.assert_rows_match([row])
 
-    @pytest.mark.parametrize(
-        "rows, fallback",
-        [
-            ([(-6.0, 11.0, -6.0), (1.0, 1.0, 1.0), (0.0, 0.0, -8.0)], []),
-            ([(1e200, 1.0, 1.0), (-6.0, 11.0, -6.0), (5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)], [0, 2]),
-        ],
-        ids=["all-solved", "mixed"],
-    )
-    def test_solve_cubic_only_for_unsolved_rows(self, monkeypatch, rows, fallback):
-        # Every row of the array pass maps straight to a RootSet; rows it leaves (here the scaled
-        # ones) are solved by solve_cubic, and take their own places in the list.
-        called = []
+    def test_solves_every_row_itself(self, monkeypatch):
+        # Rows that solve_cubic scales (|e| > 160) take the array pass too: none goes to solve_cubic.
+        rows = [(1e200, 1.0, 1.0), (-6.0, 11.0, -6.0), (5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)]
+        want = repr([solve_cubic(MonicCubic(*row)) for row in rows])
 
-        def fallback_solve(p):
-            called.append(p)
-            return solve_cubic(p)
+        def no_solve_cubic(p):
+            raise AssertionError(f"solve_cubic called on {p}")
 
-        monkeypatch.setattr("fvw.cubic.solve_cubic", fallback_solve)
-        a2, a1, a0 = np.array(rows).T
-        got = _solve_cubics(a2, a1, a0)
+        monkeypatch.setattr("fvw.cubic.solve_cubic", no_solve_cubic)
+        got = _solve_cubics(*np.array(rows).T)
         assert all(type(r) is RootSet for r in got)
-        assert repr(got) == repr([solve_cubic(MonicCubic(*row)) for row in rows])
-        assert called == [MonicCubic(*rows[i]) for i in fallback]
+        assert repr(got) == want
+
+    def test_special_value_grid(self):
+        # Every ordered triple of values at the edges of the float range and of solve_cubic's scaling
+        # rule (|e| > 160 at 2^160, 2^320, 2^480 and below 2^-161, 2^-322, 2^-483), in one call.
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 3.0, -3.0, 1e-200, -1e-200, 1e154, -1e154,
+                   6.7e102, -6.7e102, 1e200, -1e200, 1e300, -1e300, 6e307, -6e307, sys.float_info.max,
+                   -sys.float_info.max, 2.0**160, 2.0**320, 2.0**480, -(2.0**480), 2.0**-161, 2.0**-483]
+        rows = list(itertools.product(special, repeat=3))
+        got = _solve_cubics(*np.array(rows).T)
+        # Row by row: a failing repr of all 24,389 rows at once would take pytest minutes to diff.
+        assert [row for row, r in zip(rows, got) if repr(r) != repr(solve_cubic(MonicCubic(*row)))] == []
 
     @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE), max_size=40))
     def test_matches_solve_cubic_across_the_float_range(self, rows):
