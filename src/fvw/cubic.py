@@ -3,7 +3,7 @@
 Everything here treats t^3 + a2 t^2 + a1 t + a0 with real coefficients. Every
 cubic takes one root-finding path (`solve_cubic`), which keeps small roots beside
 large ones to full relative accuracy; `_solve_cubics` takes the same path for many
-cubics at once, with the same digits.
+cubics at once, with the same digits, skipping the scaling in a call where no row needs it.
 """
 
 from __future__ import annotations
@@ -137,70 +137,78 @@ def solve_cubic(p: MonicCubic) -> RootSet:
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     """fn (a `math` function or `pow`) of each element, as `solve_cubic` computes it: numpy's
     SIMD arccos and power differ from libm in the last bit for some arguments."""
-    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
+
+
+# solve_cubic leaves a nonzero row unscaled (|e| <= 160) iff all |a_k| < 2^(160 k) and some |a_k| >= 2^(-161 k).
+_POWER = np.array([[1], [2], [3]])
+_UNSCALED_BELOW, _UNSCALED_FROM = np.ldexp(1.0, 160 * _POWER), np.ldexp(1.0, -161 * _POWER)
+_TWO_PI_K = np.array([[2.0 * math.pi * k] for k in range(3)])
 
 
 def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSet]:
-    """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass
-    that takes the same steps in the same order, power-of-two scaling included, and so gives the
-    same bits."""
-    coeffs = np.stack((a2, a1, a0))
+    """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass that takes the same
+    steps in the same order, and so gives the same bits. A call of nonzero rows that `solve_cubic` leaves unscaled
+    skips the `frexp`/`ldexp` passes; libm runs once for q^3 and b2^3 and once for all trigonometric candidates."""
     with np.errstate(all="ignore"):  # steps of rows that do not take them are computed and discarded
-        # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients.
-        nonzero, power = coeffs != 0.0, np.array([[1], [2], [3]])
-        e = np.where(nonzero, -(-np.frexp(coeffs)[1] // power), np.iinfo(np.int32).min).max(axis=0)
-        e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
-        p = MonicCubic(*np.ldexp(coeffs, -power * e))
+        mags = np.abs(np.array((a2, a1, a0)))
+        if (mags < _UNSCALED_BELOW).all() and (mags >= _UNSCALED_FROM).any(axis=0).all():
+            p, e = MonicCubic(a2, a1, a0), None
+        else:  # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients
+            nonzero = mags != 0.0
+            e = np.where(nonzero, -(-np.frexp(mags)[1] // _POWER), -(2**31)).max(axis=0)
+            e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
+            p = MonicCubic(*np.ldexp(np.array((a2, a1, a0)), -_POWER * e))
         b2, b1, b0 = p
         shift = b2 / 3.0
         q = b1 - b2 * b2 / 3.0
-        q3 = _libm(pow, q, 3)
-        r = 2.0 * _libm(pow, b2, 3) / 27.0 - b2 * b1 / 3.0 + b0
+        q3, b2_3 = _libm(pow, np.array((q, b2)), 3)
+        r = 2.0 * b2_3 / 27.0 - b2 * b1 / 3.0 + b0
         t = np.empty_like(q)
         trig = -4.0 * q3 - 27.0 * r * r >= 0.0
-        # Three real roots: the trigonometric candidate largest in magnitude, the first of equals.
-        qt, rt, st = q[trig], r[trig], shift[trig]
-        m = 2.0 * np.sqrt(np.where(0.0 > -qt / 3.0, 0.0, -qt / 3.0))
-        arg = np.where(qt * m != 0.0, 3.0 * rt / (qt * m), 0.0)
-        arg = np.where(arg > -1.0, arg, -1.0)
-        theta = _libm(math.acos, np.where(arg < 1.0, arg, 1.0))
-        best, *rest = (m * _libm(math.cos, (theta - 2.0 * math.pi * k) / 3.0) - st for k in range(3))
-        for cand in rest:
-            best = np.where(np.abs(cand) > np.abs(best), cand, best)
-        t[trig] = best
-        # One real root: stable Cardano.
+        if trig.any():
+            # Three real roots: the trigonometric candidate largest in magnitude, the first of equals.
+            qt, rt, st = q[trig], r[trig], shift[trig]
+            m = 2.0 * np.sqrt(np.where(0.0 > -qt / 3.0, 0.0, -qt / 3.0))
+            arg = np.minimum(np.maximum(np.where(qt * m != 0.0, 3.0 * rt / (qt * m), 0.0), -1.0), 1.0)
+            cand = m * _libm(math.cos, (_libm(math.acos, arg) - _TWO_PI_K) / 3.0) - st
+            t[trig] = cand[np.abs(cand).argmax(axis=0), np.arange(len(st))]
         card = ~trig
-        qc, rc = q[card], r[card]
-        half_r = rc / 2.0
-        radicand = rc * rc / 4.0 + q3[card] / 27.0
-        root_term = np.sqrt(np.where(0.0 > radicand, 0.0, radicand))
-        u = np.where(half_r <= 0, -half_r + root_term, -half_r - root_term)
-        u = np.copysign(_libm(pow, np.abs(u), 1.0 / 3.0), u)
-        t[card] = u + np.where(u != 0.0, -qc / 3.0 / u, 0.0) - shift[card]
-        # Newton polish in the scaled cubic: a row stops at its first rejected step.
+        if card.any():
+            # One real root: stable Cardano.
+            qc, rc = q[card], r[card]
+            half_r = rc / 2.0
+            radicand = rc * rc / 4.0 + q3[card] / 27.0
+            root_term = np.sqrt(np.where(0.0 > radicand, 0.0, radicand))
+            u = np.where(half_r <= 0, -half_r + root_term, -half_r - root_term)
+            u = np.copysign(_libm(pow, np.abs(u), 1.0 / 3.0), u)
+            t[card] = u + np.where(u != 0.0, -qc / 3.0 / u, 0.0) - shift[card]
+        # Newton polish, scaled: a step is kept where |p| does not grow, never where p' = 0; a rejected one recurs.
         pt = p(t)
-        live = np.ones(len(t), dtype=bool)
         for _ in range(2):
-            dp = p.derivative(t)
-            t_next = t - pt / dp
+            t_next = t - pt / ((3.0 * t + 2.0 * b2) * t + b1)  # p.derivative(t), inline
             p_next = p(t_next)
-            live &= (dp != 0.0) & (np.abs(p_next) <= np.abs(pt))
-            t, pt = np.where(live, t_next, t), np.where(live, p_next, pt)
-        t = np.ldexp(t, e)
+            keep = np.abs(p_next) <= np.abs(pt)
+            t, pt = np.where(keep, t_next, t), np.where(keep, p_next, pt)
+        if e is not None:
+            t = np.ldexp(t, e)
         # The pair from the Vieta end of the original coefficients that does not cancel, as in solve_cubic.
         c = a1 + t * (a2 + t)
         small = t * t < 2.0**-52 * np.abs(c)
         t = np.where(small, -a0 / c, t)
         c = np.where(small, c, np.where(t != 0.0, -a0 / t, a1))
         h = np.where(t * t > np.abs(c), (a1 - c) / t, -a2 - t) / 2.0
-        real = h * h >= c
-        x = h + np.copysign(np.sqrt(h * h - c), h)
-        y = np.sqrt(c - h * h)
+        hh = h * h
+        real = hh >= c
+        x = h + np.copysign(np.sqrt(hh - c), h)
+        y = np.sqrt(c - hh)
         z = np.zeros((len(t), 3), dtype=complex)  # set part by part: h + 1j * y would turn h = -0.0 into 0.0
-        z.real = np.stack((t, np.where(real, x, h), np.where(real, np.where(x != 0.0, c / x, 0.0), h)), axis=1)
-        z.imag[:, 1:] = np.where(real, 0.0, [-y, y]).T
+        zr, zi = z.real, z.imag
+        zr[:, 0], zr[:, 1], zr[:, 2] = t, np.where(real, x, h), np.where(real, np.where(x != 0.0, c / x, 0.0), h)
+        zi[:, 1], zi[:, 2] = np.where(real, 0.0, -y), np.where(real, 0.0, y)
     # numpy orders complex values by (real, imaginary), the key solve_cubic sorts by; stable keeps ties.
-    return list(map(RootSet, map(tuple, np.sort(z, axis=1, kind="stable").tolist())))
+    roots = zip(*np.sort(z, axis=1, kind="stable").T.tolist())
+    return list(map(tuple.__new__, repeat(RootSet), zip(roots)))
 
 
 def hurwitz_negative(p: MonicCubic) -> Verdict:

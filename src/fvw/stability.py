@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,14 +56,18 @@ def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, floa
     return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w, ups
 
 
+def _mode_cubic(p: ModelParams, terms: tuple, mu: float) -> MonicCubic:
+    """The mode cubic of A(mu) from `_coexistence_terms(p)`, for a float mu or elementwise for an array."""
+    f, v, w, s, fire_veg, veg_water, _ = terms
+    c_mu, s_d_mu = p.c * mu, s + p.d * mu
+    return MonicCubic((p.c + p.d) * mu + s, c_mu * s_d_mu + fire_veg + veg_water,
+                      c_mu * veg_water + fire_veg * s_d_mu + p.beta * p.delta * p.eta * f * v * w)
+
+
 def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
     """Characteristic-polynomial coefficients (a2, a1, a0) of the mode matrix A(mu); mu may be a
     float or a 1-D array, which gives arrays of coefficients with the same bits per element."""
-    f, v, w, s, fire_veg, veg_water, _ = _coexistence_terms(p)
-    a2 = (p.c + p.d) * mu + s
-    a1 = p.c * mu * (p.d * mu + s) + fire_veg + veg_water
-    a0 = p.c * mu * veg_water + fire_veg * (s + p.d * mu) + p.beta * p.delta * p.eta * f * v * w
-    return MonicCubic(a2, a1, a0)
+    return _mode_cubic(p, _coexistence_terms(p), mu)
 
 
 def _finite(what: str, coeffs: tuple, *values: float) -> tuple:
@@ -146,18 +151,20 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample
     is stable where `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
     phi = phi_cubic(p)
-    mu = np.fromiter(map(float, mu_grid), float)
+    mu = np.array(mu_grid, dtype=float)
+    if mu.ndim != 1:
+        raise ValidationError(f"mu_grid must be a one-dimensional sequence of numbers, got shape {mu.shape}")
     with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
         a2, a1, a0 = dispersion_coefficients(p, mu)
         gap = phi(mu)
         stable = gap > _band(a1 * a2, a0)  # a1 * a2 may overflow to inf: then the sample is marginal
-    finite = np.isfinite(gap) & np.isfinite(a2) & np.isfinite(a1) & np.isfinite(a0)
+    finite = np.isfinite((gap, a2, a1, a0)).all(axis=0)
     if not finite.all():  # raise what the first such sample raises on its own
         i = int(np.argmin(finite))
         _finite("Phi(mu)", phi, float(gap[i]))
         _finite("the mode cubic", (float(a2[i]), float(a1[i]), float(a0[i])))
-    return list(map(DispersionSample, mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(),
-                    _solve_cubics(a2, a1, a0), stable.tolist()))
+    return list(map(tuple.__new__, repeat(DispersionSample), zip(
+        mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(), _solve_cubics(a2, a1, a0), stable.tolist())))
 
 
 class DiffusionThreshold(NamedTuple):
@@ -292,8 +299,8 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
     """Spectrum of the competition matrix L(mu, varsigma); for small rainfall
     gamma and small mu a real eigenvalue near varsigma > 0 drives instability."""
     _check_competition(p, mu, varsigma)
-    base = dispersion_coefficients(p, mu)
-    s = _coexistence_terms(p)[3]
+    terms = _coexistence_terms(p)
+    base, s = _mode_cubic(p, terms, mu), terms[3]
     q = MonicCubic(
         base.a2 - varsigma,
         base.a1 - varsigma * (s + (p.c + p.d) * mu),

@@ -194,7 +194,10 @@ class TestArrayKernel:
     def assert_rows_match(rows):
         a2, a1, a0 = np.array(rows, dtype=float).reshape(-1, 3).T
         got = _solve_cubics(a2, a1, a0)
-        assert repr(got) == repr([solve_cubic(MonicCubic(*row)) for row in rows])
+        # Row by row, listing the rows that differ: a failing repr of all rows at once makes pytest diff two
+        # long strings at every step of hypothesis's shrinking, for minutes.
+        assert len(got) == len(rows)
+        assert [row for row, r in zip(rows, got) if repr(r) != repr(solve_cubic(MonicCubic(*row)))] == []
 
     @pytest.mark.parametrize(
         "row",
@@ -230,15 +233,44 @@ class TestArrayKernel:
         assert repr(got) == want
 
     def test_special_value_grid(self):
-        # Every ordered triple of values at the edges of the float range and of solve_cubic's scaling
-        # rule (|e| > 160 at 2^160, 2^320, 2^480 and below 2^-161, 2^-322, 2^-483), in one call.
+        # Every ordered triple of values at the edges of the float range and on both sides of each bound of
+        # solve_cubic's scaling rule (|e| > 160 from 2^160, 2^320, 2^480 up and below 2^-161, 2^-322, 2^-483),
+        # 46,656 rows in one call.
+        bounds = [2.0**160, 2.0**320, 2.0**480, 2.0**-161, 2.0**-322, 2.0**-483]
         special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 3.0, -3.0, 1e-200, -1e-200, 1e154, -1e154,
                    6.7e102, -6.7e102, 1e200, -1e200, 1e300, -1e300, 6e307, -6e307, sys.float_info.max,
-                   -sys.float_info.max, 2.0**160, 2.0**320, 2.0**480, -(2.0**480), 2.0**-161, 2.0**-483]
-        rows = list(itertools.product(special, repeat=3))
-        got = _solve_cubics(*np.array(rows).T)
-        # Row by row: a failing repr of all 24,389 rows at once would take pytest minutes to diff.
-        assert [row for row, r in zip(rows, got) if repr(r) != repr(solve_cubic(MonicCubic(*row)))] == []
+                   -sys.float_info.max, -(2.0**480), *bounds, *(math.nextafter(b, 0.0) for b in bounds)]
+        self.assert_rows_match(list(itertools.product(special, repeat=3)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3], ids=["a2", "a1", "a0"])
+    @pytest.mark.parametrize("bound", [160, -161], ids=["upper", "lower"])
+    @pytest.mark.parametrize("side", ["unscaled", "scaled"])
+    def test_both_sides_of_a_scaling_bound(self, k, bound, side):
+        # solve_cubic scales a row iff some |a_k| >= 2^(160 k), or no |a_k| >= 2^(-161 k) in a nonzero row. Here
+        # |a_k| lies in the binade on one side of its bound and the other coefficients within 4 binades inside
+        # theirs, so all rows are on that side; the binade's two ends are also solved on their own. Past a bound
+        # about one row in ten loses bits when solved unscaled (Cardano's cube root is pow(|u|, 1/3), which
+        # scaling does not commute with), so the kernel's whole-call test fails here if it moves by one binade
+        # or one ulp, or skips the scaling beside a row that needs none.
+        rng = np.random.default_rng([k, bound + 200, len(side)])
+        past = side == "scaled"
+        edge = bound * k + (past - 1 if bound > 0 else -past)  # |a_k| in the binade [2^edge, 2^(edge + 1))
+        exponents = [edge + rng.uniform(0.0, 1.0, 600) if j == k else bound * j - 4.0 + rng.uniform(0.0, 4.0, 600)
+                     for j in (1, 2, 3)]
+        rows = rng.choice([-1.0, 1.0], (3, 600)) * np.exp2(exponents)
+        rows[k - 1, :100] = np.copysign(2.0**edge, rows[k - 1, :100])
+        rows[k - 1, 100:200] = np.copysign(math.nextafter(2.0 ** (edge + 1), 0.0), rows[k - 1, 100:200])
+        rows = rows.T.tolist()
+        assert {abs(max(-(-math.frexp(a)[1] // j) for j, a in enumerate(row, 1))) > 160 for row in rows} == {past}
+        for part in (rows[:100], rows[100:200], rows, [*rows, (-6.0, 11.0, -6.0)]):  # the last beside an unscaled row
+            self.assert_rows_match(part)
+
+    def test_many_rows_across_the_float_range(self):
+        # 50,000 seeded rows in one call: magnitudes log-uniform in [1e-300, 1e300], random signs, one in ten zero.
+        rng = np.random.default_rng(16)
+        rows = rng.choice([-1.0, 1.0], (50_000, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (50_000, 3))
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        self.assert_rows_match(rows.tolist())
 
     @given(rows=st.lists(st.tuples(FINITE, FINITE, FINITE), max_size=40))
     def test_matches_solve_cubic_across_the_float_range(self, rows):

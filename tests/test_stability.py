@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -15,6 +16,8 @@ from fvw import (
     MonicCubic,
     NoWaveTrain,
     NumericalFailure,
+    RootSet,
+    ValidationError,
     VarsigmaOutOfRange,
     all_ones,
     classify_equilibrium,
@@ -269,6 +272,15 @@ class TestDispersionArrayPass:
     """dispersion_curve solves all its cubics in one array pass; every sample, signed zeros
     included, must be the one the per-mu path gives (compared by repr)."""
 
+    @staticmethod
+    def assert_built_as_their_classes(samples):
+        # Samples and root sets are made by tuple.__new__, not through the NamedTuple constructors.
+        for s in samples:
+            assert type(s) is DispersionSample and type(s.eigenvalues) is RootSet
+            assert s == DispersionSample(*s) and s.eigenvalues == RootSet(*s.eigenvalues)
+            copy = pickle.loads(pickle.dumps(s))
+            assert type(copy) is DispersionSample and type(copy.eigenvalues) is RootSet and repr(copy) == repr(s)
+
     @given(draws=st.lists(LOG_UNIFORM, min_size=9, max_size=9),
            decades=st.tuples(st.floats(-12.0, 0.0), st.floats(0.0, 12.0)),
            samples=st.integers(2, 60))
@@ -281,7 +293,9 @@ class TestDispersionArrayPass:
             with pytest.raises(NumericalFailure, match="Phi.mu. is not finite"):
                 dispersion_curve(p, grid)
             return
-        assert repr(dispersion_curve(p, grid)) == repr(want)
+        got = dispersion_curve(p, grid)
+        assert repr(got) == repr(want)
+        self.assert_built_as_their_classes(got)
 
     def test_three_real_roots(self):
         # With d = 100 c the large-mu modes separate into three real eigenvalues.
@@ -290,6 +304,7 @@ class TestDispersionArrayPass:
         got = dispersion_curve(p, grid)
         assert any(all(r.imag == 0.0 for r in s.eigenvalues.roots) for s in got)
         assert repr(got) == repr(scalar_dispersion(p, grid))
+        self.assert_built_as_their_classes(got)
 
     def test_coefficients_beyond_the_unscaled_range(self):
         # beta = 1e200 gives a2 = 1e100 at mu = 0: solve_cubic scales that cubic (|e| > 160), and the
@@ -299,9 +314,15 @@ class TestDispersionArrayPass:
         got = dispersion_curve(p, grid)
         assert math.copysign(1.0, got[0].eigenvalues.roots[1].real) == -1.0
         assert repr(got) == repr(scalar_dispersion(p, grid))
+        self.assert_built_as_their_classes(got)
 
     def test_empty_grid(self, unstable_diffusive_params):
         assert dispersion_curve(unstable_diffusive_params, []) == []
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0]]], ids=["scalar", "2-d"])
+    def test_grid_must_be_one_dimensional(self, unstable_diffusive_params, grid):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            dispersion_curve(unstable_diffusive_params, grid)
 
     def test_verdict_where_the_band_overflows(self, recwarn):
         # E1 = (1, 7.5e153, 1) as mpmath gives it; a2 = 1.125e154 and a1 = 1.875e154 are finite, but a1 * a2
