@@ -3,7 +3,7 @@
 Everything here treats t^3 + a2 t^2 + a1 t + a0 with real coefficients. Every
 cubic takes one root-finding path (`solve_cubic`), which keeps small roots beside
 large ones to full relative accuracy; `_solve_cubics` takes the same path for many
-cubics at once, with the same digits, skipping the scaling in a call where no row needs it.
+cubics at once, with the same digits.
 """
 
 from __future__ import annotations
@@ -140,25 +140,21 @@ def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
-# solve_cubic leaves a nonzero row unscaled (|e| <= 160) iff all |a_k| < 2^(160 k) and some |a_k| >= 2^(-161 k).
 _POWER = np.array([[1], [2], [3]])
-_UNSCALED_BELOW, _UNSCALED_FROM = np.ldexp(1.0, 160 * _POWER), np.ldexp(1.0, -161 * _POWER)
 _TWO_PI_K = np.array([[2.0 * math.pi * k] for k in range(3)])
 
 
 def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSet]:
     """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass that takes the same
-    steps in the same order, and so gives the same bits. A call of nonzero rows that `solve_cubic` leaves unscaled
-    skips the `frexp`/`ldexp` passes; libm runs once for q^3 and b2^3 and once for all trigonometric candidates."""
+    steps in the same order, power-of-two scaling included, and so gives the same bits. libm runs once for q^3 and
+    b2^3 together and once for all three trigonometric candidates of every row that takes them."""
     with np.errstate(all="ignore"):  # steps of rows that do not take them are computed and discarded
-        mags = np.abs(np.array((a2, a1, a0)))
-        if (mags < _UNSCALED_BELOW).all() and (mags >= _UNSCALED_FROM).any(axis=0).all():
-            p, e = MonicCubic(a2, a1, a0), None
-        else:  # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients
-            nonzero = mags != 0.0
-            e = np.where(nonzero, -(-np.frexp(mags)[1] // _POWER), -(2**31)).max(axis=0)
-            e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
-            p = MonicCubic(*np.ldexp(np.array((a2, a1, a0)), -_POWER * e))
+        # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients.
+        coeffs = np.array((a2, a1, a0))
+        nonzero = coeffs != 0.0
+        e = np.where(nonzero, -(-np.frexp(coeffs)[1] // _POWER), -(2**31)).max(axis=0)
+        e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
+        p = MonicCubic(*np.ldexp(coeffs, -_POWER * e))
         b2, b1, b0 = p
         shift = b2 / 3.0
         q = b1 - b2 * b2 / 3.0
@@ -190,8 +186,7 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
             p_next = p(t_next)
             keep = np.abs(p_next) <= np.abs(pt)
             t, pt = np.where(keep, t_next, t), np.where(keep, p_next, pt)
-        if e is not None:
-            t = np.ldexp(t, e)
+        t = np.ldexp(t, e)
         # The pair from the Vieta end of the original coefficients that does not cancel, as in solve_cubic.
         c = a1 + t * (a2 + t)
         small = t * t < 2.0**-52 * np.abs(c)

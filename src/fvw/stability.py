@@ -151,9 +151,11 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample
     is stable where `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
     phi = phi_cubic(p)
-    mu = np.array(mu_grid, dtype=float)
-    if mu.ndim != 1:
-        raise ValidationError(f"mu_grid must be a one-dimensional sequence of numbers, got shape {mu.shape}")
+    mu = np.array(mu_grid)
+    if mu.ndim != 1 or mu.dtype.kind not in "biuf":
+        raise ValidationError(f"mu_grid must be a one-dimensional sequence of real numbers, got {mu.dtype} "
+                              f"of shape {mu.shape}")
+    mu = mu.astype(float, copy=False)
     with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
         a2, a1, a0 = dispersion_coefficients(p, mu)
         gap = phi(mu)

@@ -250,8 +250,8 @@ class TestArrayKernel:
         # |a_k| lies in the binade on one side of its bound and the other coefficients within 4 binades inside
         # theirs, so all rows are on that side; the binade's two ends are also solved on their own. Past a bound
         # about one row in ten loses bits when solved unscaled (Cardano's cube root is pow(|u|, 1/3), which
-        # scaling does not commute with), so the kernel's whole-call test fails here if it moves by one binade
-        # or one ulp, or skips the scaling beside a row that needs none.
+        # scaling does not commute with), so the kernel's scaling rule fails here if it moves by one binade
+        # or one ulp, or if a row's scaling depends on the other rows of the call.
         rng = np.random.default_rng([k, bound + 200, len(side)])
         past = side == "scaled"
         edge = bound * k + (past - 1 if bound > 0 else -past)  # |a_k| in the binade [2^edge, 2^(edge + 1))

@@ -319,9 +319,12 @@ class TestDispersionArrayPass:
     def test_empty_grid(self, unstable_diffusive_params):
         assert dispersion_curve(unstable_diffusive_params, []) == []
 
-    @pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0]]], ids=["scalar", "2-d"])
-    def test_grid_must_be_one_dimensional(self, unstable_diffusive_params, grid):
-        with pytest.raises(ValidationError, match="one-dimensional"):
+    @pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0]], iter([0.0, 1.0]), [None], [0.0, None], ["1.0"], [1.0j]],
+                             ids=["scalar", "2-d", "one-shot-iterator", "none", "none-after-a-number", "string",
+                                  "complex"])
+    def test_grid_must_be_a_sequence_of_real_numbers(self, unstable_diffusive_params, grid):
+        # Invalid input, not a numerical failure: a None must not pass as nan and be reported as Phi(mu).
+        with pytest.raises(ValidationError, match="one-dimensional sequence of real numbers"):
             dispersion_curve(unstable_diffusive_params, grid)
 
     def test_verdict_where_the_band_overflows(self, recwarn):
