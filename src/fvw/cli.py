@@ -132,8 +132,8 @@ def cmd_stability(cfg: RunConfig) -> list[str]:
 
 def _grid(start: float, stop: float, samples: int, log: bool = False) -> np.ndarray:
     """`samples` values from start to stop, evenly spaced, or geometrically if log."""
-    if not 2 <= samples <= simulate.MAX_COUNT:
-        raise ValidationError(f"samples must lie in [2, {simulate.MAX_COUNT}], got {samples}")
+    if not 2 <= samples <= simulate._MAX_ROWS:
+        raise ValidationError(f"samples must lie in [2, {simulate._MAX_ROWS}], got {samples}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"grid ends must be finite, got {start} and {stop}")
     if log and not (start > 0 and stop > 0):
@@ -201,8 +201,8 @@ def cmd_simulate_pde(cfg: RunConfig) -> list[str]:
         cfg.params, opts["grid_points"], opts["domain_length"], opts["mode"], opts["rho"]
     )
     icfg = simulate.IntegratorConfig(method="rk4", t_final=opts["t_final"], dt=opts["dt"])
-    if not 0 <= opts["snapshots"] <= simulate.MAX_COUNT:
-        raise ValidationError(f"snapshots must lie in [0, {simulate.MAX_COUNT}], got {opts['snapshots']}")
+    if not 1 <= (opts["snapshots"] + 1) * opts["grid_points"] <= simulate._MAX_ROWS:  # the cells written
+        raise ValidationError(f"(snapshots + 1) x grid_points must lie in [1, {simulate._MAX_ROWS}]")
     times = np.linspace(0.0, opts["t_final"], opts["snapshots"] + 1)[1:]
     snapshots = simulate.simulate_pde(field0, cfg.params, icfg, times)
     simulate.write_snapshots_csv([field0, *snapshots], cfg.output)

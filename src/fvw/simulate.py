@@ -18,7 +18,8 @@ from .model import ModelParams, State, _reaction_terms, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 
 NEGATIVITY_TOL = -1e-9
-MAX_COUNT = 2**53  # most grid points, samples, snapshots or steps a run may ask for: 8 bytes each is 64 PiB
+_MAX_ROWS = 10**7  # most rows a run may hold (ODE rows, PDE grid points or snapshot cells, samples): ~300 B each
+_MAX_WORK = 10**10  # most PDE steps x grid points a run may take: 0.2-1 us each, so hours at the cap
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,6 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be a positive finite real, got {value}")
-        if self.method == "rk4" and self.t_final / self.dt > MAX_COUNT:
-            raise ValidationError(f"t_final / dt must be at most {MAX_COUNT} steps")
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,8 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
     if not all(map(math.isfinite, s0)):
         raise ValidationError(f"initial state must be finite, got {tuple(s0)}")
     if cfg.method == "rk4":
+        if cfg.t_final / cfg.dt > _MAX_ROWS - 1:
+            raise ValidationError(f"t_final / dt must be at most {_MAX_ROWS - 1} steps, got {cfg.t_final / cfg.dt:.6g}")
         n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
         dt = cfg.t_final / n_steps
         times = np.linspace(0.0, cfg.t_final, n_steps + 1)
@@ -172,8 +173,8 @@ def single_mode_field(
     """
     if not 1 <= mode <= n // 2 - 1:
         raise ValidationError(f"mode must lie in [1, N/2-1], got {mode}")
-    if n > MAX_COUNT:
-        raise ValidationError(f"grid must have at most {MAX_COUNT} points")
+    if n > _MAX_ROWS:
+        raise ValidationError(f"grid must have at most {_MAX_ROWS} points")
     if not all(map(math.isfinite, (rho, *sin_amplitudes, *cos_amplitudes))):
         raise ValidationError(f"rho and the mode amplitudes must be finite, got rho={rho}")
     eq = uniform_field(coexistence_state(p), n, domain_length)  # checks domain_length before the division below
@@ -208,7 +209,7 @@ def simulate_pde(
 
     The time step is clamped to the diffusion CFL bound (with a CFLWarning)
     unless clamp=False, in which case violating the bound raises CFLViolation. More than
-    MAX_COUNT steps of the clamped dt, or an h^2 outside the normal floats, raise ValidationError.
+    _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside the normal floats, raise ValidationError.
     The fields are checked every 16 steps and at each snapshot; the first check that
     finds a non-finite value raises StepFailure naming its time.
     """
@@ -225,8 +226,8 @@ def simulate_pde(
     if cfg.dt > bound and not clamp:
         raise CFLViolation(f"dt={cfg.dt} exceeds the diffusion stability bound {bound:.6g}")
     dt = min(cfg.dt, bound)
-    if times and (times[-1] - field0.time) / dt > MAX_COUNT:
-        raise ValidationError(f"the snapshot times need more than {MAX_COUNT} steps of the clamped dt={dt:.6g}")
+    if times and (times[-1] - field0.time) / dt * field0.grid_points > _MAX_WORK:
+        raise ValidationError(f"the snapshot times need more than {_MAX_WORK:.0e} steps x grid points at dt={dt:.6g}")
     if dt < cfg.dt:
         warnings.warn(f"dt clamped from {cfg.dt} to CFL bound {bound:.6g}", CFLWarning)
 

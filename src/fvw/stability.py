@@ -50,10 +50,30 @@ def upsilon(p: ModelParams) -> float:
     return ups
 
 
-def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, float]:
-    """(f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*, delta zeta v* w*, Upsilon) at E1."""
+class PhiCubic(NamedTuple):
+    """Coefficients of Phi(mu) = b3 mu^3 + b2 mu^2 + b1 mu + b0, the
+    Routh-Hurwitz gap a1(mu) a2(mu) - a0(mu) as a polynomial in mu."""
+
+    b3: float
+    b2: float
+    b1: float
+    b0: float
+
+    def __call__(self, mu: float) -> float:
+        return ((self.b3 * mu + self.b2) * mu + self.b1) * mu + self.b0
+
+    def derivative(self, mu: float) -> float:
+        return (3.0 * self.b3 * mu + 2.0 * self.b2) * mu + self.b1
+
+
+def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, PhiCubic]:
+    """The one record of what the linear theory derives from E1: (f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*,
+    delta zeta v* w*, Phi), where Phi's b0 = delta zeta v* w* Upsilon carries none of the cancellation of a1 a2 - a0."""
     f, v, w, ups = _coexistence(p)
-    return f, v, w, p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w, ups
+    s, fire_veg, veg_water = p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w
+    phi = PhiCubic(p.c * p.d * (p.c + p.d), p.c * (p.c + 2.0 * p.d) * s,
+                   p.c * s * s + p.d * veg_water + p.c * fire_veg, veg_water * ups)
+    return f, v, w, s, fire_veg, veg_water, phi
 
 
 def _mode_cubic(p: ModelParams, terms: tuple, mu: float) -> MonicCubic:
@@ -86,13 +106,12 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
         )
         if not all(map(math.isfinite, eigs)):
             raise NumericalFailure(f"the trivial equilibrium leaves the float range: eigenvalues {tuple(eigs)}")
-        return StabilityVerdict(
-            upsilon(p), Classification.UNSTABLE, RootSet(tuple(complex(e) for e in eigs))
-        )
+        return StabilityVerdict(upsilon(p), Classification.UNSTABLE, RootSet(tuple(map(complex, eigs))))
     if which != "E1":
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
-    poly = _finite("the mode cubic", dispersion_coefficients(p, 0.0))
-    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly, phi_cubic(p).b0)], solve_cubic(poly))
+    terms = _coexistence_terms(p)
+    poly = _finite("the mode cubic", _mode_cubic(p, terms, 0.0))
+    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly, terms[6].b0)], solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -106,32 +125,9 @@ def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
     return A
 
 
-class PhiCubic(NamedTuple):
-    """Coefficients of Phi(mu) = b3 mu^3 + b2 mu^2 + b1 mu + b0, the
-    Routh-Hurwitz gap a1(mu) a2(mu) - a0(mu) as a polynomial in mu."""
-
-    b3: float
-    b2: float
-    b1: float
-    b0: float
-
-    def __call__(self, mu: float) -> float:
-        return ((self.b3 * mu + self.b2) * mu + self.b1) * mu + self.b0
-
-    def derivative(self, mu: float) -> float:
-        return (3.0 * self.b3 * mu + 2.0 * self.b2) * mu + self.b1
-
-
 def phi_cubic(p: ModelParams) -> PhiCubic:
-    """The one source of Phi(mu): its coefficients come from the coexistence-state terms, with
-    b0 = delta zeta v* w* Upsilon, so Phi(mu) carries none of the cancellation of a1 a2 - a0.
-    The returned cubic evaluates at a float mu or elementwise at a 1-D array of them."""
-    _, _, _, s, fire_veg, veg_water, ups = _coexistence_terms(p)
-    b3 = p.c * p.d * (p.c + p.d)
-    b2 = p.c * (p.c + 2.0 * p.d) * s
-    b1 = p.c * s * s + p.d * veg_water + p.c * fire_veg
-    b0 = veg_water * ups
-    return PhiCubic(b3, b2, b1, b0)
+    """Phi(mu) from `_coexistence_terms`; it evaluates at a float mu or elementwise at a 1-D array of them."""
+    return _coexistence_terms(p)[6]
 
 
 class DispersionSample(NamedTuple):
@@ -145,19 +141,19 @@ class DispersionSample(NamedTuple):
 
 
 def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[DispersionSample]:
-    """Sample the mode spectrum over a grid of squared wavenumbers; phi and the verdict
-    come from `phi_cubic`, and a Phi(mu) that is not finite raises NumericalFailure.
-    The coefficients, Phi(mu) and the roots are computed for the whole grid in one array
-    pass, each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample
-    is stable where `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
-    phi = phi_cubic(p)
+    """Sample the mode spectrum over a grid of squared wavenumbers; a Phi(mu) that is not finite raises
+    NumericalFailure. The coefficients, Phi(mu) and the roots are computed for the whole grid in one array pass,
+    each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample is stable where
+    `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
+    terms = _coexistence_terms(p)
+    phi = terms[6]
     mu = np.array(mu_grid)
     if mu.ndim != 1 or mu.dtype.kind not in "biuf":
         raise ValidationError(f"mu_grid must be a one-dimensional sequence of real numbers, got {mu.dtype} "
                               f"of shape {mu.shape}")
     mu = mu.astype(float, copy=False)
     with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
-        a2, a1, a0 = dispersion_coefficients(p, mu)
+        a2, a1, a0 = _mode_cubic(p, terms, mu)
         gap = phi(mu)
         stable = gap > _band(a1 * a2, a0)  # a1 * a2 may overflow to inf: then the sample is marginal
     finite = np.isfinite((gap, a2, a1, a0)).all(axis=0)
@@ -242,10 +238,11 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
     mu* is `find_k0`'s mu_threshold, where Phi vanishes and A(mu*) factors as
     (lambda^2 + a1)(lambda + a2), so sigma* and the decay eigenvalue are
     `imaginary_root_factorization`'s sqrt(a1) and -a2."""
-    if phi_cubic(p).b0 >= 0.0:
+    terms = _coexistence_terms(p)
+    if terms[6].b0 >= 0.0:
         raise NoWaveTrain("no wave train: Upsilon >= 0")
     mu = find_k0(p).mu_threshold
-    fact = imaginary_root_factorization(_finite("the mode cubic", dispersion_coefficients(p, mu)))
+    fact = imaginary_root_factorization(_finite("the mode cubic", _mode_cubic(p, terms, mu)))
     if fact is None:
         raise NoWaveTrain(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
     x = _null_vector(mode_matrix(p, mu), 1j * fact.sigma)

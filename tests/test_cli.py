@@ -444,7 +444,7 @@ class TestValidationAndDeterminism:
             (["kernel-moments", "--scale", "1e-300"], "scale"),
             (["kernel-moments", "--dimension", "400"], "dimension"),
             (["kernel-moments", "--dimension", "100", "--scale", "1e6"], "dimension"),
-            # The CFL-clamped dt: 0.01 / 5e-311 steps overflow a float, and 3.3e31 steps exceed 2^53.
+            # The CFL-clamped dt: 0.01 / 5e-311 steps overflow a float; 3.3e31 steps on 256 points exceed the work cap.
             (["simulate-pde", "--c", "1e300", "--domain-length", "2.56e-3", "--t-final", "0.01", "--snapshots", "1"],
              "steps"),
             (["simulate-pde", "--c", "1e30", "--t-final", "0.01", "--snapshots", "1"], "steps"),
@@ -452,13 +452,20 @@ class TestValidationAndDeterminism:
             (["simulate-pde", "--rho", "inf"], "rho"),
             (["simulate-pde", "--rho", "nan"], "rho"),
             (["simulate-ode", "--f0", "nan", "--v0", "1", "--w0", "1"], "initial state"),
+            # Caps on what a run holds and does, checked before any allocation: 1e10 RK4 rows, 2^50 snapshots of
+            # 256 cells, and 1e10 steps of dt = 1e-300 on 256 grid points.
+            (["simulate-ode", "--dt", "1e-300", "--t-final", "1e-290"], "dt"),
+            (["simulate-pde", "--snapshots", "1125899906842624"], "snapshots"),
+            (["simulate-pde", "--c", "1", "--d", "1", "--dt", "1e-300", "--t-final", "1e-290", "--snapshots", "1"],
+             "dt"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
              "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
              "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
              "kernel-dimension-100-scale-1e6", "pde-clamped-steps-overflow", "pde-clamped-steps-past-2^53",
-             "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan"],
+             "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan",
+             "ode-rows-past-cap", "pde-snapshot-cells-past-cap", "pde-work-past-cap"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"

@@ -37,6 +37,7 @@ from fvw import (
     solve_cubic,
     upsilon,
 )
+from fvw import model as fvw_model, stability as fvw_stability
 from fvw.cubic import Verdict, _gap_verdict
 
 from conftest import random_rates, vars_dict
@@ -646,3 +647,23 @@ class TestCompetition:
         for fn in (competition_instability, competition_matrix):
             with pytest.raises(ValueError, match="mu must be positive"):
                 fn(all_ones(c=1.0, d=1.0), 0.0, 0.5)
+
+
+class TestCoexistenceRecord:
+    @pytest.mark.parametrize("call, derivations", [
+        (lambda p: classify_equilibrium("E1", p), 2),  # the record, and upsilon for the verdict's Upsilon
+        (lambda p: dispersion_curve(p, np.linspace(0.0, 2.0, 21)), 1),
+        (find_wavetrain, 3),  # the record, find_k0, and mode_matrix's own E1 for the eigenvector
+    ], ids=["classify-E1", "dispersion_curve", "find_wavetrain"])
+    def test_coexistence_derived_once_per_call(self, monkeypatch, unstable_diffusive_params, call, derivations):
+        calls = []
+        derive = fvw_model._coexistence
+
+        def counted(p):
+            calls.append(p)
+            return derive(p)
+
+        monkeypatch.setattr(fvw_model, "_coexistence", counted)
+        monkeypatch.setattr(fvw_stability, "_coexistence", counted)
+        call(unstable_diffusive_params)
+        assert len(calls) == derivations
