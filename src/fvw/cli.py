@@ -192,7 +192,7 @@ def cmd_simulate_ode(cfg: RunConfig) -> list[str]:
     )
     traj = simulate.integrate_ode(s0, cfg.params, icfg)
     traj.write_csv(cfg.output)
-    return [f"{len(traj.times)} steps, negativity={_fmt(traj.negativity_flag)}"]
+    return [f"{len(traj.times) - 1} steps, negativity={_fmt(traj.negativity_flag)}"]
 
 
 def cmd_simulate_pde(cfg: RunConfig) -> list[str]:

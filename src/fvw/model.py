@@ -128,18 +128,24 @@ def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
     return Equilibrium("trivial", State(0.0, 0.0, w0)), Equilibrium("coexistence", coexistence_state(p))
 
 
-def _reaction_terms(p: ModelParams, f, v, w):
-    """(f', v', w') under the reaction terms alone, for floats or equal-shape arrays f, v, w."""
-    return (
-        f * (p.alpha * v - p.beta * w),
-        v * (p.zeta * w - p.eta * f),
-        p.gamma - p.delta * v * w - p.epsilon * w,
-    )
+def _reaction(p: ModelParams):
+    """rhs(f, v, w) -> (f', v', w') under the reaction terms alone, for floats or equal-shape arrays f, v, w.
+    The rates are read once here and held as closure locals, which an integrator's inner loop calls cheaply."""
+    alpha, beta, gamma, delta, epsilon, eta, zeta = p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.eta, p.zeta
+
+    def rhs(f, v, w):
+        return (
+            f * (alpha * v - beta * w),
+            v * (zeta * w - eta * f),
+            gamma - delta * v * w - epsilon * w,
+        )
+
+    return rhs
 
 
 def reaction_rhs(s: State, p: ModelParams) -> State:
     """Time derivative of (f, v, w) under the reaction terms alone."""
-    return State(*_reaction_terms(p, *s))
+    return State(*_reaction(p)(*s))
 
 
 def jacobian(s: State, p: ModelParams) -> np.ndarray:

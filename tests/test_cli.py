@@ -372,7 +372,7 @@ class TestExtremeMagnitudes:
 
 
 class TestSimulateCommands:
-    def test_ode_csv(self, tmp_path):
+    def test_ode_csv(self, tmp_path, capsys):
         out = tmp_path / "ode.csv"
         code = main(
             ["simulate-ode", "--f0", "1", "--v0", "1", "--w0", "1", "--dt", "0.1",
@@ -381,7 +381,13 @@ class TestSimulateCommands:
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["t", "f", "v", "w"]
-        assert len(rows) == 11
+        assert len(rows) == 11  # the start and ten steps
+        assert capsys.readouterr().out.startswith("10 steps, ")
+
+    def test_ode_reports_steps_not_rows(self, tmp_path, capsys):
+        # dt past t_final: one step of t_final, two CSV rows
+        assert main(["simulate-ode", "--dt", "100", "--t-final", "1", "--output", str(tmp_path / "ode.csv")]) == 0
+        assert capsys.readouterr().out.startswith("1 steps, ")
 
     def test_pde_csv(self, tmp_path):
         out = tmp_path / "pde.csv"
@@ -438,6 +444,7 @@ class TestValidationAndDeterminism:
             (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "inf"], "domain_length"),
             (["simulate-pde", "--c", "1", "--d", "1", "--domain-length", "1e-300"], "domain_length"),
             (["simulate-ode", "--method", "rk45", "--rtol", "inf"], "rtol"),
+            (["simulate-ode", "--method", "rk45", "--rtol", "1e-300"], "rtol"),  # below scipy's 100 eps floor
             (["simulate-ode", "--dt", "inf"], "dt"),
             (["dispersion", "--mu-min", "-1"], "mu_min"),
             (["dispersion", "--mu-max", "inf"], "finite"),
@@ -461,8 +468,8 @@ class TestValidationAndDeterminism:
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
-             "pde-domain_length-1e-300", "rk45-rtol-inf", "ode-dt-inf", "dispersion-mu_min-negative",
-             "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
+             "pde-domain_length-1e-300", "rk45-rtol-inf", "rk45-rtol-below-floor", "ode-dt-inf",
+             "dispersion-mu_min-negative", "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
              "kernel-dimension-100-scale-1e6", "pde-clamped-steps-overflow", "pde-clamped-steps-past-2^53",
              "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan",
              "ode-rows-past-cap", "pde-snapshot-cells-past-cap", "pde-work-past-cap"],

@@ -91,8 +91,14 @@ def reference_simulate_pde(field0, p, dt, snapshot_times):
     return out
 
 
+@pytest.fixture
+def distinct_params() -> ModelParams:
+    """Seven distinct rates and c != d (Upsilon = 0.152), so a swapped rate or coefficient changes the bits."""
+    return ModelParams(alpha=1.3, beta=0.7, gamma=1.1, delta=0.9, epsilon=0.4, eta=1.6, zeta=0.8, c=1.0, d=0.3)
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("params", ["ones", "unstable_params"])
+    @pytest.mark.parametrize("params", ["ones", "unstable_params", "distinct_params"])
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_integrate_ode_matches_reference(self, request, params, method):
         p = request.getfixturevalue(params)
@@ -104,8 +110,9 @@ class TestBitIdentity:
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
 
-    def test_simulate_pde_matches_reference(self, unstable_diffusive_params):
-        p = unstable_diffusive_params
+    @pytest.mark.parametrize("params", ["unstable_diffusive_params", "distinct_params"])
+    def test_simulate_pde_matches_reference(self, request, params):
+        p = request.getfixturevalue(params)
         field0 = single_mode_field(p, 64, 2 * math.pi, 2, 1e-2, (1.0, -0.6, 0.3), (0.4, 0.9, -0.7))
         snapshot_times = [0.2, 0.45, 0.7]
         dt = 0.004  # below the CFL bound h^2/2 ~ 4.8e-3, so no clamping

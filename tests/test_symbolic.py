@@ -1,6 +1,6 @@
 """The linear theory derived once, symbolically, from the reaction terms.
 
-The Jacobian at E1 comes from `model._reaction_terms` by `sympy.Matrix.jacobian`, and the hand-written
+The Jacobian at E1 comes from `model._reaction` by `sympy.Matrix.jacobian`, and the hand-written
 mode cubic, Phi's coefficients b3...b0 and the competition cubic Q must equal, as polynomials, the
 characteristic polynomials sympy derives from it. The rainfall is written as the one that puts E1 at
 w* = W, so f* = zeta W / eta, v* = beta W / alpha and every quantity is rational in the symbols.
@@ -14,7 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from fvw import stability  # noqa: E402
-from fvw.model import _reaction_terms, jacobian  # noqa: E402
+from fvw.model import _reaction, jacobian  # noqa: E402
 
 al, be, ga, de, ep, et, ze, W, c, d, mu, lam, vs = sympy.symbols(
     "alpha beta gamma delta epsilon eta zeta W c d mu lambda varsigma", positive=True)
@@ -46,7 +46,7 @@ def char_poly(A):
 
 def reaction_jacobian(state):
     f, v, w = sympy.symbols("f v w")
-    return sympy.Matrix(_reaction_terms(P, f, v, w)).jacobian([f, v, w]).subs(dict(zip((f, v, w), state)))
+    return sympy.Matrix(_reaction(P)(f, v, w)).jacobian([f, v, w]).subs(dict(zip((f, v, w), state)))
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def symbolic_e1(monkeypatch):
 
 
 def test_e1_is_the_coexistence_equilibrium():
-    assert all(is_zero(r) for r in _reaction_terms(P, *E1))
+    assert all(is_zero(r) for r in _reaction(P)(*E1))
     assert is_zero(2 * al * GAMMA / denominator(GAMMA) - W)  # model._coexistence's w* = 2 alpha gamma / D
 
 
