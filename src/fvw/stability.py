@@ -63,7 +63,7 @@ class PhiCubic(NamedTuple):
         return ((self.b3 * mu + self.b2) * mu + self.b1) * mu + self.b0
 
     def derivative(self, mu: float) -> float:
-        return (3.0 * self.b3 * mu + 2.0 * self.b2) * mu + self.b1
+        return (1.5 * (self.b3 * mu) + self.b2) * (2.0 * mu) + self.b1  # 3 b3 or 2 b2 alone may overflow
 
 
 def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, PhiCubic]:
@@ -171,27 +171,21 @@ class DiffusionThreshold(NamedTuple):
 
 
 def _phi_positive_root(phi: PhiCubic) -> float:
-    """Unique nonnegative root of the strictly increasing Phi when Phi(0) < 0."""
-    lo, hi = 0.0, 1.0
-    while phi(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e30:
-            raise RuntimeError("failed to bracket the root of Phi")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # a root beyond ~1e4 cannot be bracketed to 1e-12 in floats
-            break
-        if phi(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    mu = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish; Phi' > 0 on mu > 0
-        dp = phi.derivative(mu)
-        if dp <= 0.0:
-            break
-        mu -= phi(mu) / dp
-    return mu
+    """Unique positive root of Phi when Phi(0) = b0 < 0; b1, b2, b3 >= 0 make Phi increasing and convex on mu > 0.
+    Newton decreases monotonically from the least of m/b1, sqrt(m/b2) and cbrt(m/b3) over the b_j > 0, m = -b0,
+    where Phi >= 0 and which is at most 3x the root; each bound is formed from m and b_j apart so that none
+    underflows. The first step that does not decrease mu is returned: it is a Newton step from below the root."""
+    if phi(2.0**99) <= 0.0:  # benchmark probe 1 pins this error until ROADMAP item 3 retires it
+        raise RuntimeError("failed to bracket the root of Phi")
+    b3, b2, b1, b0 = phi
+    m = -b0
+    mu = min(m / b1 if b1 > 0.0 else math.inf, math.sqrt(m) / math.sqrt(b2) if b2 > 0.0 else math.inf,
+             m ** (1.0 / 3.0) / b3 ** (1.0 / 3.0) if b3 > 0.0 else math.inf)
+    while True:
+        step = mu - phi(mu) / phi.derivative(mu)
+        if not step < mu:
+            return step
+        mu = step
 
 
 def find_k0(p: ModelParams) -> DiffusionThreshold:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fvw import all_ones, phi_cubic
 from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_config
 
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
@@ -242,8 +243,12 @@ class TestExtremeMagnitudes:
         out = tmp_path / "out.csv"
         assert main(["wavetrain", *UNSTABLE_FLAGS, *args, "--output", str(out)]) == code
         if code == 0:
-            _, rows = read_csv(out)
+            header, rows = read_csv(out)
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+            if args == ["--zeta=1e-300"]:
+                # mu* = -b0/b1 = 8.43e-301: Phi's b2 and b3 terms lie below the last bit of b1 mu* there.
+                phi = phi_cubic(all_ones(alpha=2.0, epsilon=0.1, c=1.0, d=1.0, zeta=1e-300))
+                assert float(rows[0][header.index("mu_star")]) == -phi.b0 / phi.b1
         else:
             assert capsys.readouterr().err.startswith("error: eigenvector for the eigenvalue nearest")
             assert not out.exists()
@@ -344,7 +349,8 @@ class TestExtremeMagnitudes:
     def test_exit_code_contract_at_the_float_range_edges(self, tmp_path, capsys, data):
         # c, d and the seven rates log-uniform in [1e-300, 1e300], where partial products of E1 and Upsilon
         # leave the float range. Each run exits 0 with finite cells, or exits 2 or 3 with a typed error and
-        # no traceback. wavetrain stays out: with c, d -> 0 it reaches Phi's bracket RuntimeError.
+        # no traceback. wavetrain stays out: with c, d -> 0 Phi's root can lie past 2^99, where its guard raises
+        # the bare RuntimeError that benchmark probe 1 pins until that probe is retired.
         out = tmp_path / "out.csv"
         for command in ("equilibria", "stability", "dispersion", "competition"):
             params = {name: data.draw(log_uniform(1e-300, 1e300), label=name) for name in PARAMS}

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from fvw import (
     MonicCubic,
     NoWaveTrain,
     NumericalFailure,
+    PhiCubic,
     RootSet,
     ValidationError,
     VarsigmaOutOfRange,
@@ -70,6 +72,28 @@ def mp_phi(p: ModelParams, mu: float):
         a2 = -(A[0, 0] + A[1, 1] + A[2, 2])
         a1 = sum(A[i, i] * A[j, j] - A[i, j] * A[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
         return a1 * a2 + mpmath.det(A)
+
+
+def mp_phi_root(phi: PhiCubic):
+    """Oracle: the positive root of Phi's float coefficients at 80 digits, bracketed by doubling or halving from 1
+    and bisected to 2^-200 relative, apart from find_k0's start; None where Phi(2^99) <= 0, a root past 2^99."""
+    with mpmath.workdps(80):
+        b3, b2, b1, b0 = map(mpmath.mpf, phi)
+
+        def f(mu):
+            return ((b3 * mu + b2) * mu + b1) * mu + b0
+
+        if f(mpmath.mpf(2) ** 99) <= 0:
+            return None
+        lo = hi = mpmath.mpf(1)
+        while f(hi) <= 0:
+            lo, hi = hi, 2 * hi
+        while f(lo) > 0:
+            lo, hi = lo / 2, lo
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if f(mid) > 0 else (mid, hi)
+        return (lo + hi) / 2
 
 
 def draw_unstable_diffusive(rng) -> ModelParams:
@@ -404,12 +428,42 @@ class TestFindK0:
             assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) <= 1
 
     def test_large_root_terminates(self):
-        # Above ~1e4 floats are coarser than the bisection's 1e-12 width; the search once looped for ever here.
+        # A root above 1e5, where consecutive floats lie more than 1e-11 apart: the root search must still stop.
         p = ModelParams(alpha=686.9, beta=174.3, gamma=6339.0, delta=0.002217, epsilon=0.000564,
                         eta=903.0, zeta=322837.0, d=3.39)
         mu = find_k0(p).mu_threshold
         phi = phi_cubic(p)
         assert mu > 1e5 and phi(mu * (1 - 1e-9)) < 0 < phi(mu * (1 + 1e-9))
+
+    @given(rates=st.lists(st.floats(math.log(1e-30), math.log(1e30)).map(math.exp), min_size=9, max_size=9),
+           zero=st.sampled_from([None, "c", "d"]))
+    def test_threshold_matches_mpmath(self, rates, zero):
+        # The rates log-uniform in [1e-30, 1e30], with c = 0 or d = 0 as well: mu_threshold is the root of Phi's
+        # float coefficients within 1e-15 relative, wherever b0 < 0 is a normal float and the root a normal float
+        # no larger than 2^99.
+        rates[0], rates[3] = max(rates[0], rates[3]), min(rates[0], rates[3])  # Upsilon < 0 needs alpha > delta
+        p = ModelParams(**{**dict(zip(NAMES, rates)), **({zero: 0.0} if zero else {})})
+        phi = phi_cubic(p)
+        assume(all(map(math.isfinite, phi)) and phi.b0 <= -sys.float_info.min)
+        root = mp_phi_root(phi)
+        assume(root is not None and root >= sys.float_info.min)
+        assert abs(find_k0(p).mu_threshold - root) <= 1e-15 * root
+
+    def test_root_near_1e_minus_300(self):
+        # zeta = 1e-300 makes b0 = -4.85e-301, and Phi's b2 and b3 terms lie below the last bit of b1 mu at the
+        # root, which is -b0/b1 = 8.43e-301: far under any absolute tolerance a root search might stop at.
+        p = all_ones(alpha=2.0, epsilon=0.1, c=1.0, d=1.0, zeta=1e-300)
+        phi = phi_cubic(p)
+        assert find_k0(p).mu_threshold == pytest.approx(-phi.b0 / phi.b1, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("phi", [
+        PhiCubic(7.690046420821048e+307, 1.1654262745925037e+126, 1.7412258995775157e+148, -3.1611170816525e+80),
+        phi_cubic(all_ones(alpha=2.0, epsilon=0.1, c=1.1e154, d=1.0)),  # b2 = 9.18e307
+    ], ids=["b3", "b2"])
+    def test_root_with_coefficients_near_the_float_max(self, phi):
+        # 3 b3 overflows for b3 > 6e307 and 2 b2 for b2 > 9e307; Phi' must not, or Newton stalls at its start.
+        root = mp_phi_root(phi)
+        assert abs(fvw_stability._phi_positive_root(phi) - root) <= 1e-15 * root
 
     def test_degenerate_diffusion(self, unstable_params):
         with pytest.raises(DegenerateDiffusion):
