@@ -181,6 +181,11 @@ def _phi_positive_root(phi: PhiCubic) -> float:
     m = -b0
     mu = min(m / b1 if b1 > 0.0 else math.inf, math.sqrt(m) / math.sqrt(b2) if b2 > 0.0 else math.inf,
              m ** (1.0 / 3.0) / b3 ** (1.0 / 3.0) if b3 > 0.0 else math.inf)
+    if not (math.isfinite(phi(mu)) and math.isfinite(phi.derivative(mu))):
+        # Horner's partial sums grow with mu, and at the start they are at most 6 max|b_j|: coefficients scaled
+        # by 1/8 keep them below the float max. The root stays, and so does every rounding of the loop unless a
+        # coefficient falls below 2^-1019, where scaling rounds its last bits away.
+        phi = PhiCubic(*(math.ldexp(b, -3) for b in phi))
     while True:
         step = mu - phi(mu) / phi.derivative(mu)
         if not step < mu:

@@ -406,6 +406,14 @@ class TestSimulateCommands:
         assert header == ["t", "x", "f", "v", "w"]
         assert len(rows) == 3 * 32  # initial field plus two snapshots
 
+    def test_rk45_evaluation_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fvw.simulate._MAX_ROWS", 100)
+        out = tmp_path / "ode.csv"
+        assert main(["simulate-ode", "--method", "rk45", "--t-final", "1e300", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: rk45 needs more than 600 right-hand side evaluations "
+                                           "to reach t_final=1e+300\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, when",
         [

@@ -459,9 +459,11 @@ class TestFindK0:
     @pytest.mark.parametrize("phi", [
         PhiCubic(7.690046420821048e+307, 1.1654262745925037e+126, 1.7412258995775157e+148, -3.1611170816525e+80),
         phi_cubic(all_ones(alpha=2.0, epsilon=0.1, c=1.1e154, d=1.0)),  # b2 = 9.18e307
-    ], ids=["b3", "b2"])
+        PhiCubic(1e308, 1.5e308, 1e300, -1e308),  # root 0.678: b3 mu + b2 passes the float max at the start
+    ], ids=["b3", "b2", "horner"])
     def test_root_with_coefficients_near_the_float_max(self, phi):
         # 3 b3 overflows for b3 > 6e307 and 2 b2 for b2 > 9e307; Phi' must not, or Newton stalls at its start.
+        # Nor may a partial sum of Horner's rule, though Phi itself is in range near the root.
         root = mp_phi_root(phi)
         assert abs(fvw_stability._phi_positive_root(phi) - root) <= 1e-15 * root
 
