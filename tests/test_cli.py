@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -429,6 +430,25 @@ class TestSimulateCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f" at {when}\n")
         assert "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # f0 < 0 leaves the positive octant and the run blows up: the step shrinks below the spacing of floats
+        # long before any state overflows.
+        ["--f0", "-1", "--v0", "1", "--w0", "1", "--t-final", "50"],
+        # f' = f (alpha v - beta w) = inf - inf at the start, so the first step is nan.
+        ["--alpha", "1e300", "--beta", "1e300", "--f0", "1", "--v0", "1e10", "--w0", "1e10", "--t-final", "1"],
+    ], ids=["negative-f0", "nan-derivative"])
+    def test_rk45_blow_up_exit_code(self, tmp_path, capsys, argv):
+        # Both fail with exit 3 at once, without an OverflowError or a RuntimeWarning.
+        out = tmp_path / "blowup.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate-ode", *argv, "--method", "rk45", "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: adaptive integration failed: "
+                                           "Required step size is less than spacing between numbers.\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
 
