@@ -15,12 +15,13 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import kernels, model, simulate, stability
 from .simulate import _fmt, _write_csv
-from .errors import NumericalFailure, ValidationError
+from .errors import CFLWarning, NumericalFailure, ValidationError
 
 OUTPUT_DIR_ENV = "FVW_OUTPUT_DIR"
 
@@ -308,9 +309,20 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _show_warning(show, message, category, filename, lineno, file=None, line=None):
+    """Print a CFLWarning that the warning filters let through as one `warning:` line on stderr, without the
+    source location and line Python adds; pass any other warning on to `show`."""
+    if issubclass(category, CFLWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, filename, lineno, file, line)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    show = warnings.showwarning
+    warnings.showwarning = functools.partial(_show_warning, show)
     try:
         config = resolve_config(args)
         if args.dump_config:
@@ -320,6 +332,8 @@ def main(argv=None) -> int:
     except (ValidationError, NumericalFailure) as exc:  # the class decides the exit code; anything else is a bug
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.showwarning = show
 
 
 if __name__ == "__main__":

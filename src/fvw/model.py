@@ -130,7 +130,10 @@ def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
 
 def _reaction(p: ModelParams):
     """rhs(f, v, w) -> (f', v', w') under the reaction terms alone, for floats or equal-shape arrays f, v, w.
-    The rates are read once here and held as closure locals, which an integrator's inner loop calls cheaply."""
+    The rates are read once here and held as closure locals, which an integrator's inner loop calls cheaply.
+    This is the reaction for the ODE, `reaction_rhs` and the symbolic tests. `simulate_pde` has a second,
+    stacked in-place form that forms the fire and vegetation rows in one call per operation; it does the
+    same operations in the same order, which `TestBitIdentity` checks bit for bit."""
     alpha, beta, gamma, delta, epsilon, eta, zeta = p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.eta, p.zeta
 
     def rhs(f, v, w):

@@ -6,16 +6,16 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (kept as fvw.simulate.solve_ivp; the benchmark tracer patches it)
 
 from .errors import CFLViolation, CFLWarning, StepFailure, ValidationError
-from .model import _RATE_NAMES, ModelParams, State, _reaction, coexistence_state
+from .model import ModelParams, State, _reaction, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 
 NEGATIVITY_TOL = -1e-9
@@ -101,7 +101,8 @@ def _rms(a, b, c):
 
 def _dp45(rhs, y0, cfg):
     """Adaptive Dormand-Prince 5(4) steps (J. Comput. Appl. Math. 6, 1980) of y' = rhs(*y) from the 3-tuple y0
-    of floats over [0, cfg.t_final]; returns the list of times and the list of state tuples, the start included.
+    of floats over [0, cfg.t_final]; returns the rows (t, f, v, w), the start included, as one flat array('d'):
+    32 B a step, where a list of tuples of floats holds ~150 B.
 
     Every decision is scipy RK45's: the tableau with FSAL and the 5th-order solution, its first step, the RMS
     error norm over atol + max(|y|, |y_new|) rtol, and the controller of Hairer, Norsett & Wanner (Solving
@@ -132,7 +133,8 @@ def _dp45(rhs, y0, cfg):
     h_abs = min(100 * h0, h1, t_final)
 
     t, evals = 0.0, 2
-    times, rows = [t], [(f, v, w)]
+    rows = array("d", (t, f, v, w))
+    extend = rows.extend
     while t < t_final:
         min_step = 10 * (nextafter(t, inf) - t)
         h_abs = max(h_abs, min_step)
@@ -181,9 +183,8 @@ def _dp45(rhs, y0, cfg):
             h_abs *= max(0.2, 0.9 * error ** -0.2)  # a nan error shrinks the step by 0.2, as in RK45
             rejected = True
         t, f, v, w, k1f, k1v, k1w = t_new, nf, nv, nw, k7f, k7v, k7w
-        times.append(t)
-        rows.append((f, v, w))
-    return times, rows
+        extend((t, f, v, w))
+    return rows
 
 
 def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
@@ -203,11 +204,11 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
         for _ in range(n_steps):
             y = _rk4_step(rhs, y, dt)
             append(y)
+        # One pass over the flattened rows: ~2.5x faster than np.array(rows) at 5,001 rows, the same values.
+        states = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
     else:
-        times, rows = _dp45(rhs, tuple(map(float, s0)), cfg)
-        times = np.fromiter(times, float, len(times))
-    # One pass over the flattened rows: ~2.5x faster than np.array(rows) at 5,001 rows, the same values.
-    states = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
+        rows = np.frombuffer(_dp45(rhs, tuple(map(float, s0)), cfg)).reshape(-1, 4)
+        times, states = rows[:, 0], rows[:, 1:]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise StepFailure(f"state became non-finite at t={times[finite.argmin()]:.17g}")
@@ -323,33 +324,55 @@ def simulate_pde(
     if dt < cfg.dt:
         warnings.warn(f"dt clamped from {cfg.dt} to CFL bound {bound:.6g}", CFLWarning)
 
-    # The march holds (f, v, w) as the rows of one (3, N) array and writes every stage into preallocated
-    # buffers. Each scalar is a 0-d array of the march's dtype, which numpy multiplies faster than a Python
-    # float; each element still sees the operations of `_rk4_step` in its order, so the bits are the same.
+    # The march writes every stage into preallocated buffers, since at N = 256 a step costs mostly numpy's
+    # per-call overhead. The fields are the rows (w, f, v, w) of one (4, N) array whose last row repeats the
+    # first, so each cyclic pair (w, f), (f, v) and (v, w) is a contiguous slice: numpy runs a contiguous
+    # (2, N) operand ~1 us faster than a strided one. The fire and vegetation rows share the form x (a y - b z),
+    # with (x, y, z) = (f, v, w) and (v, w, f), so one call per operation forms both, and the diffusion of
+    # (w, f) is one stacked pass. Each coefficient is a full-width array or a 0-d array of the march's dtype,
+    # which numpy multiplies faster than a broadcast column or a Python float. Every element still sees the
+    # operations of `model._reaction` and `_rk4_step` in their order, so the bits are the reference march's.
     ftype = np.result_type(1.0, field0.f, field0.v, field0.w)
-    reaction = _reaction(SimpleNamespace(**{name: np.asarray(getattr(p, name), ftype) for name in _RATE_NAMES}))
-    coeffs = np.array([[p.c], [p.d]], ftype)
-    hh, two = np.asarray(h * h, ftype), np.asarray(2.0, ftype)
     n = field0.grid_points
-    pad, lap, twice = np.empty((2, n + 2), ftype), np.empty((2, n), ftype), np.empty((2, n), ftype)
-    left, right = pad[:, :-2], pad[:, 2:]
+    gain, loss, coeffs = (np.repeat(np.array([[x], [z]], ftype), n, axis=1)
+                          for x, z in ((p.alpha, p.zeta), (p.beta, p.eta), (p.d, p.c)))
+    gamma, delta, epsilon, hh, two = (np.asarray(x, ftype) for x in (p.gamma, p.delta, p.epsilon, h * h, 2.0))
+    pad, lap, tmp = np.empty((2, n + 2), ftype), np.empty((2, n), ftype), np.empty((2, n), ftype)
+    left, right, tmp_w = pad[:, :-2], pad[:, 2:], tmp[0]
+    add, sub, mul, div, concatenate = np.add, np.subtract, np.multiply, np.divide, np.concatenate
 
-    def rhs(y, k):
-        """k = the right-hand side at y: the reaction rows plus [[c], [d]] times the periodic Laplacian of f and w."""
-        k[0], k[1], k[2] = reaction(y[0], y[1], y[2])
-        u = y[::2]
-        np.concatenate((u[:, -1:], u, u[:, :1]), axis=1, out=pad)
-        np.add(left, right, out=lap)
-        np.subtract(lap, np.multiply(two, u, out=twice), out=lap)
-        np.divide(lap, hh, out=lap)
-        np.multiply(coeffs, lap, out=lap)
-        diffusive = k[::2]
-        np.add(diffusive, lap, out=diffusive)
+    def kernel(u, k):
+        """A call that writes into the rows (w', f', v') of k the right-hand side at the rows (w, f, v, w) of u:
+        the reaction rows, then [[d], [c]] times the periodic Laplacian of (w, f) from one (2, N + 2) ghost
+        buffer. The row views are taken here, once a run."""
+        wf, fv, vw, v, w, k_w, k_wf, k_fv = u[:2], u[1:3], u[2:], u[2], u[0], k[0], k[:2], k[1:]
+        ghosted = (wf[:, -1:], wf, wf[:, :1])
+
+        def rhs():
+            mul(gain, vw, k_fv)  # (alpha v, zeta w)
+            mul(loss, wf, tmp)  # (beta w, eta f)
+            sub(k_fv, tmp, k_fv)
+            mul(k_fv, fv, k_fv)
+            mul(delta, v, k_w)  # gamma - delta v w - epsilon w
+            mul(k_w, w, k_w)
+            sub(gamma, k_w, k_w)
+            sub(k_w, mul(epsilon, w, tmp_w), k_w)
+            concatenate(ghosted, 1, pad)
+            add(left, right, lap)
+            sub(lap, mul(two, wf, tmp), lap)
+            div(lap, hh, lap)
+            mul(coeffs, lap, lap)
+            add(k_wf, lap, k_wf)
+
+        return rhs
 
     snapshots = []
     t = field0.time
-    y = np.array((field0.f, field0.v, field0.w), ftype)
-    k1, k, stage = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    y = np.array((field0.w, field0.f, field0.v, field0.w), ftype)
+    stage = np.empty_like(y)
+    y3, y_w, y_copy, stage3, stage_w, stage_copy = y[:3], y[0], y[3], stage[:3], stage[0], stage[3]
+    k1, k = np.empty_like(y3), np.empty_like(y3)
+    rhs_y, rhs_stage = kernel(y, k1), kernel(stage, k)
     for target in times:
         if target < t:
             raise ValidationError("snapshot times must not precede the initial time")
@@ -359,22 +382,29 @@ def simulate_pde(
         a, b, h_step = (np.asarray(x, ftype) for x in (0.5 * step, step / 6.0, step))
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
             for i in range(1, n_steps + 1):
-                # One RK4 step: k1 accumulates k1 + 2 k2 + 2 k3 + k4 while k holds each later stage.
-                rhs(y, k1)
-                rhs(np.add(y, np.multiply(a, k1, out=stage), out=stage), k)  # k2
-                np.add(y, np.multiply(a, k, out=stage), out=stage)
-                np.add(k1, np.multiply(two, k, out=k), out=k1)
-                rhs(stage, k)  # k3
-                np.add(y, np.multiply(h_step, k, out=stage), out=stage)
-                np.add(k1, np.multiply(two, k, out=k), out=k1)
-                rhs(stage, k)  # k4
-                np.add(k1, k, out=k1)
-                np.add(y, np.multiply(b, k1, out=k1), out=y)
+                # One RK4 step: k1 accumulates k1 + 2 k2 + 2 k3 + k4 while k holds each later stage. Each write
+                # of (w, f, v) is followed by the copy of w into the last row.
+                rhs_y()  # k1
+                add(y3, mul(a, k1, stage3), stage3)
+                stage_copy[...] = stage_w
+                rhs_stage()  # k2
+                add(y3, mul(a, k, stage3), stage3)
+                stage_copy[...] = stage_w
+                add(k1, mul(two, k, k), k1)
+                rhs_stage()  # k3
+                add(y3, mul(h_step, k, stage3), stage3)
+                stage_copy[...] = stage_w
+                add(k1, mul(two, k, k), k1)
+                rhs_stage()  # k4
+                add(k1, k, k1)
+                add(y3, mul(b, k1, k1), y3)
+                y_copy[...] = y_w
                 # A scan of the fields costs ~4 % of an N = 256 step; every 16th step it is noise.
-                if (i % 16 == 0 or i == n_steps) and not np.isfinite(y).all():
+                if (i % 16 == 0 or i == n_steps) and not np.isfinite(y3).all():
                     raise StepFailure(f"fields became non-finite at t={t + i * step:.17g}")
         t = target
-        snapshots.append(FieldState(field0.domain_length, *y.copy(), time=t))
+        w, f, v = y3.copy()
+        snapshots.append(FieldState(field0.domain_length, f, v, w, time=t))
     return snapshots
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fvw import all_ones, phi_cubic
+from fvw import CFLWarning, all_ones, phi_cubic
 from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_config
 
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
@@ -406,6 +406,46 @@ class TestSimulateCommands:
         header, rows = read_csv(out)
         assert header == ["t", "x", "f", "v", "w"]
         assert len(rows) == 3 * 32  # initial field plus two snapshots
+
+    # The default geometry, N = 256 on 2 pi, where the default dt = 1e-3 exceeds the CFL bound h^2 / 2.
+    CLAMPED = ["simulate-pde", "--c", "1", "--d", "1", "--t-final", "0.01", "--snapshots", "1"]
+
+    def test_cfl_clamp_prints_one_warning_line(self, tmp_path, capsys):
+        out = tmp_path / "pde.csv"
+        assert main([*self.CLAMPED, "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: dt clamped from 0.001 to CFL bound 0.000301196\n"
+        assert captured.out == "1 snapshots on 256 grid points\n"
+        assert len(read_csv(out)[1]) == 2 * 256
+
+    def test_ignored_cfl_warning_prints_nothing(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            assert main([*self.CLAMPED, "--output", str(tmp_path / "pde.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_other_warnings_pass_through(self, tmp_path, capsys, monkeypatch):
+        def handler(cfg):
+            warnings.warn("not a CFL warning", UserWarning)
+            return []
+
+        monkeypatch.setitem(COMMANDS, "equilibria", (handler, {}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["equilibria", "--output", str(tmp_path / "e.csv")]) == 0
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UserWarning, "not a CFL warning", __file__)]
+        assert capsys.readouterr().err == ""
+
+    def test_runtime_warning_still_raises(self, tmp_path, monkeypatch):
+        # The test configuration turns RuntimeWarning into an error; the CLI's warning display must not catch it.
+        def handler(cfg):
+            warnings.warn("overflow", RuntimeWarning)
+            return []
+
+        monkeypatch.setitem(COMMANDS, "equilibria", (handler, {}))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(["equilibria", "--output", str(tmp_path / "e.csv")])
 
     def test_rk45_evaluation_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fvw.simulate._MAX_ROWS", 100)

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,22 +123,30 @@ class TestBitIdentity:
             assert len(traj.times) == len(times)
             np.testing.assert_allclose(traj.states[-1], states[-1], rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("params, changes, n, dtype", [
-        pytest.param("unstable_diffusive_params", {}, 64, np.float64, id="unstable_diffusive_params"),
-        pytest.param("distinct_params", {}, 64, np.float64, id="distinct_params"),
-        pytest.param("distinct_params", {"c": 0.0}, 64, np.float64, id="c=0"),
-        pytest.param("distinct_params", {"d": 0.0}, 64, np.float64, id="d=0"),
-        pytest.param("distinct_params", {}, 64, np.float32, id="float32"),
-        pytest.param("distinct_params", {}, 8, np.float64, id="N=8"),
+    @pytest.mark.parametrize("params, changes, n, dtype, dt, snapshot_times", [
+        # dt = 0.004 lies below the CFL bound h^2/2 ~ 4.8e-3 at N = 64, so these runs are not clamped.
+        pytest.param("unstable_diffusive_params", {}, 64, np.float64, 0.004, (0.2, 0.45, 0.7),
+                     id="unstable_diffusive_params"),
+        pytest.param("distinct_params", {}, 64, np.float64, 0.004, (0.2, 0.45, 0.7), id="distinct_params"),
+        pytest.param("distinct_params", {"c": 0.0}, 64, np.float64, 0.004, (0.2, 0.45, 0.7), id="c=0"),
+        pytest.param("distinct_params", {"d": 0.0}, 64, np.float64, 0.004, (0.2, 0.45, 0.7), id="d=0"),
+        pytest.param("distinct_params", {}, 64, np.float32, 0.004, (0.2, 0.45, 0.7), id="float32"),
+        pytest.param("distinct_params", {}, 8, np.float64, 0.004, (0.2, 0.45, 0.7), id="N=8"),
+        # The benchmark's geometry: the requested dt = 1e-3 is clamped to the CFL bound h^2/2 at both sizes.
+        pytest.param("distinct_params", {}, 256, np.float64, 1e-3, (0.01, 0.025, 0.04), id="N=256-clamped"),
+        pytest.param("distinct_params", {}, 1024, np.float64, 1e-3, (0.001, 0.0025, 0.004), id="N=1024-clamped"),
     ])
-    def test_simulate_pde_matches_reference(self, request, params, changes, n, dtype):
+    def test_simulate_pde_matches_reference(self, request, params, changes, n, dtype, dt, snapshot_times):
         p = dataclasses.replace(request.getfixturevalue(params), **changes)
         mode = single_mode_field(p, n, 2 * math.pi, 2, 1e-2, (1.0, -0.6, 0.3), (0.4, 0.9, -0.7))
         field0 = FieldState(mode.domain_length, *(u.astype(dtype) for u in (mode.f, mode.v, mode.w)))
-        snapshot_times = [0.2, 0.45, 0.7]
-        dt = 0.004  # below the CFL bound h^2/2 ~ 4.8e-3 at N = 64, so no clamping
-        snaps = simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=dt), snapshot_times)
-        reference = reference_simulate_pde(field0, p, dt, snapshot_times)
+        h = field0.domain_length / n
+        step = min(dt, h * h / (2.0 * max(p.c, p.d)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            snaps = simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=dt), snapshot_times)
+        assert [w.category for w in caught] == ([CFLWarning] if step < dt else [])
+        reference = reference_simulate_pde(field0, p, step, snapshot_times)
         assert len(snaps) == len(reference) == 3
         for snap, ref, t in zip(snaps, reference, snapshot_times):
             assert snap.time == t
@@ -281,6 +291,18 @@ class TestIntegrateOde:
         monkeypatch.setattr("fvw.simulate._MAX_ROWS", 100)
         with pytest.raises(ValidationError, match="rk45 needs more than 600 right-hand side evaluations"):
             integrate_ode(State(1.0, 0.5, 1.5), ones, IntegratorConfig(method="rk45", t_final=1e300))
+
+    def test_rk45_rows_stay_small_up_to_the_cap(self, ones, monkeypatch):
+        # The run stores ~1e4 steps before the cap stops it: 32 B a step as (t, f, v, w) doubles.
+        monkeypatch.setattr("fvw.simulate._MAX_ROWS", 10**4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="rk45 needs more than 60000 right-hand side evaluations"):
+                integrate_ode(State(1.0, 1.0, 1.0), ones, IntegratorConfig(method="rk45", t_final=1e300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 10**4
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
