@@ -4,7 +4,6 @@ time-domain simulation."""
 
 from .cubic import MonicCubic, RootSet, Verdict, hurwitz_negative, imaginary_root_factorization, solve_cubic
 from .errors import (
-    CFLViolation,
     CFLWarning,
     DegenerateDiffusion,
     HypothesisViolated,

@@ -29,10 +29,6 @@ class VarsigmaOutOfRange(ValidationError):
     """Competition strength varsigma must lie strictly between 0 and epsilon."""
 
 
-class CFLViolation(NumericalFailure):
-    """Requested time step exceeds the explicit diffusion stability bound."""
-
-
 class StepFailure(NumericalFailure):
     """Time stepping failed: the adaptive step size underflowed, or an RK4 (ODE or PDE) state went non-finite."""
 

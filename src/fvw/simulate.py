@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (kept as fvw.simulate.solve_ivp; the benchmark tracer patches it)
 
-from .errors import CFLViolation, CFLWarning, StepFailure, ValidationError
+from .errors import CFLWarning, StepFailure, ValidationError
 from .model import ModelParams, State, _reaction, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 
@@ -79,8 +79,8 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def _rk4_step(rhs, y, h):
-    """One classical RK4 step of y' = rhs(*y) for a 3-tuple y of floats or equal-shape arrays; `simulate_pde`
-    does the same arithmetic in place on one (3, N) array."""
+    """One classical RK4 step of y' = rhs(*y) for a 3-tuple y of Python floats, as `integrate_ode` takes it.
+    `simulate_pde` has its own march, which does the same arithmetic in place on one (4, N) array."""
     f, v, w = y
     a, b = 0.5 * h, h / 6.0
     k1f, k1v, k1w = rhs(f, v, w)
@@ -294,30 +294,29 @@ def simulate_pde(
     p: ModelParams,
     cfg: IntegratorConfig,
     snapshot_times: Sequence[float],
-    clamp: bool = True,
 ) -> list[FieldState]:
     """March the reaction-diffusion system with explicit RK4 steps and
     second-order periodic central differences; returns snapshots at the
-    requested times (the initial field is not included unless requested).
+    requested times in increasing order (the initial field is not included unless requested).
 
-    The time step is clamped to the diffusion CFL bound (with a CFLWarning)
-    unless clamp=False, in which case violating the bound raises CFLViolation. More than
-    _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside the normal floats, raise ValidationError.
-    The fields are checked every 16 steps and at each snapshot; the first check that
-    finds a non-finite value raises StepFailure naming its time.
+    Every snapshot time must be finite and not before field0.time, or ValidationError is raised before any
+    work. A dt above the diffusion CFL bound is always clamped to it, with a CFLWarning; a caller that must
+    refuse such a dt turns the warning into an error (warnings.simplefilter("error", CFLWarning)), which
+    raises before any step. More than _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside
+    the normal floats, raise ValidationError. The fields are checked every 16 steps and at each snapshot;
+    the first check that finds a non-finite value raises StepFailure naming its time.
     """
     if cfg.method != "rk4":
         raise ValidationError("simulate_pde uses fixed-step explicit integration (method 'rk4')")
     times = sorted(float(t) for t in snapshot_times)
-    if times and times[0] < 0.0:
-        raise ValidationError("snapshot times must be nonnegative")
+    bad = [t for t in times if not (math.isfinite(t) and t >= field0.time)]
+    if bad:
+        raise ValidationError(f"snapshot time {bad[0]} is not finite or precedes the initial time {field0.time}")
 
     h = field0.domain_length / field0.grid_points
     bound = cfl_bound(h, p)
     if bound == 0.0 or not sys.float_info.min <= h * h < math.inf:
         raise ValidationError(f"domain_length / grid_points = {h:.6g} puts h^2 or the CFL bound outside the normal floats")
-    if cfg.dt > bound and not clamp:
-        raise CFLViolation(f"dt={cfg.dt} exceeds the diffusion stability bound {bound:.6g}")
     dt = min(cfg.dt, bound)
     if times and (times[-1] - field0.time) / dt * field0.grid_points > _MAX_WORK:
         raise ValidationError(f"the snapshot times need more than {_MAX_WORK:.0e} steps x grid points at dt={dt:.6g}")
@@ -374,8 +373,6 @@ def simulate_pde(
     k1, k = np.empty_like(y3), np.empty_like(y3)
     rhs_y, rhs_stage = kernel(y, k1), kernel(stage, k)
     for target in times:
-        if target < t:
-            raise ValidationError("snapshot times must not precede the initial time")
         span = target - t
         n_steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         step = span / n_steps if n_steps else 0.0

@@ -90,10 +90,10 @@ def dispersion_coefficients(p: ModelParams, mu: float) -> MonicCubic:
     return _mode_cubic(p, _coexistence_terms(p), mu)
 
 
-def _finite(what: str, coeffs: tuple, *values: float) -> tuple:
+def _finite(what: str, coeffs: tuple) -> tuple:
     """coeffs, checked ahead of every solve of Phi or of a mode or competition cubic: valid rates whose
-    coefficients, or the `values` computed from them, leave the float range are a numerical failure."""
-    if not all(math.isfinite(x) for x in values or coeffs):
+    coefficients leave the float range are a numerical failure."""
+    if not all(map(math.isfinite, coeffs)):
         raise NumericalFailure(f"{what} is not finite: its coefficients {tuple(coeffs)} leave the float range")
     return coeffs
 
@@ -159,7 +159,10 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     finite = np.isfinite((gap, a2, a1, a0)).all(axis=0)
     if not finite.all():  # raise what the first such sample raises on its own
         i = int(np.argmin(finite))
-        _finite("Phi(mu)", phi, float(gap[i]))
+        _finite("Phi(mu)", phi)
+        if not math.isfinite(gap[i]):  # the coefficients are finite, Phi at this mu is not
+            raise NumericalFailure(f"Phi(mu) is not finite: its value {gap[i]} at mu = {float(mu[i])!r} "
+                                   "leaves the float range")
         _finite("the mode cubic", (float(a2[i]), float(a1[i]), float(a0[i])))
     return list(map(tuple.__new__, repeat(DispersionSample), zip(
         mu.tolist(), a2.tolist(), a1.tolist(), a0.tolist(), gap.tolist(), _solve_cubics(a2, a1, a0), stable.tolist())))

@@ -263,13 +263,16 @@ class TestExtremeMagnitudes:
             (["sweep", "--gamma", "1e300", "--samples", "3"], 3, "the mode cubic is not finite"),
             (["competition", "--mu", "nan"], 2, "mu must be positive and finite"),
             (["competition", "--mu", "inf"], 2, "mu must be positive and finite"),
+            # Phi's coefficients are finite; its value at the second sample is not.
+            (["dispersion", "--mu-max", "1e308", "--c", "1", "--d", "1"], 3,
+             "Phi(mu) is not finite: its value inf at mu = 5e+305 leaves the float range\n"),
         ],
         ids=["stability-gamma", "dispersion-gamma", "competition-gamma", "sweep-gamma", "competition-mu-nan",
-             "competition-mu-inf"],
+             "competition-mu-inf", "dispersion-phi-value"],
     )
     def test_overflowing_cubic_coefficients(self, tmp_path, capsys, argv, code, message):
-        # Valid rates whose mode or competition cubic leaves the float range have no result (exit 3);
-        # a mu that is not finite is invalid input (exit 2).
+        # Valid rates whose mode or competition cubic, or Phi at a sampled mu, leaves the float range have no
+        # result (exit 3); a mu that is not finite is invalid input (exit 2).
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == code
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -539,6 +542,10 @@ class TestValidationAndDeterminism:
             (["simulate-pde", "--snapshots", "1125899906842624"], "snapshots"),
             (["simulate-pde", "--c", "1", "--d", "1", "--dt", "1e-300", "--t-final", "1e-290", "--snapshots", "1"],
              "dt"),
+            (["sweep", "--axis", "alpha", "--start", "0", "--stop", "10", "--log", "1"],
+             "log-spaced sweep requires positive endpoints"),
+            (["sweep", "--axis", "alpha", "--start", "1", "--stop", "-1", "--log", "1"],
+             "log-spaced sweep requires positive endpoints"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
@@ -546,7 +553,8 @@ class TestValidationAndDeterminism:
              "dispersion-mu_min-negative", "dispersion-mu_max-inf", "kernel-scale-1e-300", "kernel-dimension-400",
              "kernel-dimension-100-scale-1e6", "pde-clamped-steps-overflow", "pde-clamped-steps-past-2^53",
              "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan",
-             "ode-rows-past-cap", "pde-snapshot-cells-past-cap", "pde-work-past-cap"],
+             "ode-rows-past-cap", "pde-snapshot-cells-past-cap", "pde-work-past-cap", "sweep-log-start-0",
+             "sweep-log-stop-negative"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"
@@ -637,13 +645,15 @@ class TestValidationAndDeterminism:
             ("[params]\nalpha = 50%\n", "malformed config file"),
             ("[params]\nalpha = abc\n", "config value alpha = 'abc' is not a valid float"),
             ("[options]\nsamples = 1.5\n", "config value samples = '1.5' is not a valid int"),
+            (None, "config file not readable"),  # no file at the path
         ],
         ids=["no-section-header", "unknown-option", "unknown-parameter", "bad-interpolation",
-             "non-float-parameter", "non-int-option"],
+             "non-float-parameter", "non-int-option", "missing-file"],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, message):
         cfg_path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
-        cfg_path.write_text(text)
+        if text is not None:
+            cfg_path.write_text(text)
         assert main(["dispersion", "--config", str(cfg_path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err

@@ -334,6 +334,13 @@ class TestImaginaryRootFactorization:
     def test_requires_marginality(self):
         assert imaginary_root_factorization(MonicCubic(3.0, 3.0, 1.0)) is None
 
+    def test_marginal_gap_with_a_large_residual(self):
+        # The gap a1 a2 - a0 = -1e-4 lies inside the marginal band at this scale, but |p(i)| = 1e-4 exceeds
+        # the residual bound at sigma = 1: no factorization is returned.
+        p = MonicCubic(1e6, 1.0, 1e6 + 1e-4)
+        assert hurwitz_negative(p) is Verdict.MARGINAL
+        assert imaginary_root_factorization(p) is None
+
     def test_agrees_with_root_oracle(self):
         rng = np.random.default_rng(29)
         hits = 0

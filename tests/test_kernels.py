@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fvw import SlowDecay, kernel_moments, pizzetti_constants
+from fvw import SlowDecay, ValidationError, kernel_moments, pizzetti_constants
 from fvw.kernels import sphere_surface_area, truncation_radius
 
 
@@ -68,6 +68,11 @@ class TestKernelMoments:
         r = truncation_radius(lambda x: math.exp(-x * x))
         assert math.exp(-r * r) < 1e-16
         assert r <= 16.0
+
+    @pytest.mark.parametrize("k0", [0.0, math.nan], ids=["zero", "nan"])
+    def test_truncation_radius_needs_a_positive_origin(self, k0):
+        with pytest.raises(ValidationError, match="kernel must be positive at the origin"):
+            truncation_radius(lambda r: k0 if r == 0.0 else math.exp(-r * r))
 
     def test_two_dimensional_gaussian(self):
         # n=2: ell_0 = 2 pi * integral rho e^{-rho^2} = pi.

@@ -4,7 +4,7 @@ import fvw
 
 # The names `fvw` exports; adding or removing one is a public-API change.
 PUBLIC_NAMES = {
-    "CFLViolation", "CFLWarning", "Classification", "CompetitionSpectrum", "DegenerateDiffusion",
+    "CFLWarning", "Classification", "CompetitionSpectrum", "DegenerateDiffusion",
     "DiffusionThreshold", "DispersionSample", "Equilibrium", "FieldState", "HypothesisViolated",
     "IntegratorConfig", "KernelMoments", "ModelParams", "MonicCubic", "NoWaveTrain", "NumericalFailure",
     "PhiCubic", "RootSet", "SlowDecay", "StabilityVerdict", "State", "StepFailure", "Trajectory",

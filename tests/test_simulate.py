@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fvw import (
-    CFLViolation,
     CFLWarning,
     FieldState,
     IntegratorConfig,
@@ -245,6 +244,18 @@ class TestIntegrateOde:
         times, _ = reference_integrate_ode(s0, p, cfg)
         assert len(traj.times) == len(times) == 136
 
+    def test_rk45_first_step_where_every_derivative_is_zero(self, ones):
+        # At E0 = (0, 0, 1) with unit rates the right-hand side is exactly 0, so the first step takes RK45's
+        # floor max(1e-6, 1e-3 h0) and each later step grows tenfold until the last is clipped to t_final.
+        s0 = State(0.0, 0.0, 1.0)
+        cfg = IntegratorConfig(method="rk45")
+        traj = integrate_ode(s0, ones, cfg)
+        times, states = reference_integrate_ode(s0, ones, cfg)
+        assert len(traj.times) == len(times) == 9
+        assert traj.times[1] == 1e-6 and traj.times[-1] == cfg.t_final
+        assert np.array_equal(traj.times, times)  # the step control alone sets them, with RK45's arithmetic
+        assert np.array_equal(traj.states, np.tile(s0, (9, 1))) and np.array_equal(states, traj.states)
+
     @given(rates=st.lists(st.floats(math.log(1e-2), math.log(1e2)).map(math.exp), min_size=7, max_size=7),
            offsets=st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
            t_final=st.floats(1e-2, 10.0))
@@ -363,11 +374,39 @@ class TestSimulatePde:
             simulate_pde(field0, p, cfg, [0.5])
 
     def test_cfl_violation_without_clamping(self):
+        # simulate_pde always clamps; a caller that must refuse a too-large dt turns CFLWarning into an error,
+        # which raises before any step is taken.
         p = all_ones(c=1.0, d=1.0)
         field0 = uniform_field(coexistence_state(p), 64, 2 * math.pi)
         cfg = IntegratorConfig(method="rk4", dt=0.5, t_final=0.5)
-        with pytest.raises(CFLViolation):
-            simulate_pde(field0, p, cfg, [0.5], clamp=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CFLWarning)
+            with pytest.raises(CFLWarning, match="dt clamped from 0.5 to CFL bound 0.00481914"):
+                simulate_pde(field0, p, cfg, [0.5])
+
+    @pytest.mark.parametrize("time0, times", [
+        (0.0, [math.nan]),
+        (0.0, [math.nan, 0.5]),
+        (0.0, [0.5, math.inf]),
+        (0.0, [-0.1]),
+        (0.25, [0.5, 0.2]),
+    ], ids=["nan", "nan-then-finite", "inf", "negative", "before-initial-time"])
+    def test_invalid_snapshot_times_rejected(self, time0, times):
+        # Every snapshot time must be finite and not before the initial field's time. A nan time makes every
+        # later span nan: no step would be taken, and the initial field would come back labelled with a later time.
+        p = all_ones(c=1.0, d=1.0)
+        field0 = dataclasses.replace(uniform_field(coexistence_state(p), 64, 2 * math.pi), time=time0)
+        with pytest.raises(ValidationError, match="is not finite or precedes the initial time"):
+            simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=1e-3), times)
+
+    def test_snapshot_at_the_initial_time(self, distinct_params):
+        # A snapshot time equal to the initial field's time is valid and returns that field unchanged.
+        mode = single_mode_field(distinct_params, 64, 2 * math.pi, 2, 1e-2)
+        field0 = dataclasses.replace(mode, time=0.25)
+        first, second = simulate_pde(field0, distinct_params, IntegratorConfig(method="rk4", dt=0.004), [0.3, 0.25])
+        assert (first.time, second.time) == (0.25, 0.3)
+        for u, want in zip((first.f, first.v, first.w), (field0.f, field0.v, field0.w)):
+            assert np.array_equal(u, want)
 
     def test_blow_up_time(self):
         # The fields first go non-finite at step 514 of dt = 1e-3 (t = 0.514), not at a snapshot time;
@@ -387,6 +426,21 @@ class TestSimulatePde:
     def test_grid_too_small_rejected(self, ones):
         with pytest.raises(ValidationError):
             uniform_field(State(1.0, 1.0, 1.0), 4, 1.0)
+
+    def test_unequal_field_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="f, v, w must have equal length"):
+            FieldState(1.0, np.zeros(8), np.zeros(9), np.zeros(8))
+
+    def test_grid_too_large_rejected_before_allocating(self, unstable_diffusive_params):
+        # 10**7 + 2 points would take ~80 MB a field; the cap is checked before any of them is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="grid must have at most 10000000 points"):
+                single_mode_field(unstable_diffusive_params, 10**7 + 2, 2 * math.pi, 1, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_field_csv_matches_snapshots_csv(self, unstable_diffusive_params, tmp_path):
         snap = single_mode_field(unstable_diffusive_params, 16, 2 * math.pi, 3, 0.1, cos_amplitudes=(0.5, -1.0, 2.0))
