@@ -2,7 +2,7 @@
 stability, diffusion thresholds, wave trains, competition spectra, and
 time-domain simulation."""
 
-from .cubic import MonicCubic, RootSet, Verdict, hurwitz_negative, imaginary_root_factorization, solve_cubic
+from .cubic import Classification, MonicCubic, RootSet, hurwitz_negative, imaginary_root_factorization, solve_cubic
 from .errors import (
     CFLWarning,
     DegenerateDiffusion,
@@ -21,7 +21,6 @@ from .model import (
     State,
     all_ones,
     coexistence_state,
-    coexistence_w,
     equilibria,
     jacobian,
     reaction_rhs,
@@ -36,7 +35,6 @@ from .simulate import (
     uniform_field,
 )
 from .stability import (
-    Classification,
     CompetitionSpectrum,
     DispersionSample,
     DiffusionThreshold,

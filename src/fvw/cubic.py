@@ -39,10 +39,12 @@ class RootSet(NamedTuple):
         return max(r.real for r in self.roots)
 
 
-class Verdict(enum.Enum):
-    ALL_NEGATIVE_REAL_PART = "all_negative_real_part"
-    MARGINAL = "marginal"
-    HAS_NONNEGATIVE_REAL_PART = "has_nonnegative_real_part"
+class Classification(enum.Enum):
+    """Where a cubic's roots lie, so the stability of the equilibrium it linearizes; NEUTRAL is the marginal band."""
+
+    STABLE = "stable"
+    UNSTABLE = "unstable"
+    NEUTRAL = "neutral"
 
 
 def _band(x: float, y: float = 0.0) -> float:
@@ -55,12 +57,12 @@ def _gap(p: MonicCubic) -> float:
     return p.a1 * p.a2 - p.a0
 
 
-def _gap_verdict(p: MonicCubic, gap: float) -> Verdict:
+def _gap_verdict(p: MonicCubic, gap: float) -> Classification:
     """Sign of p's Routh-Hurwitz gap as the caller computed it (`_gap(p)`, or Phi(mu) from
-    `phi_cubic` for a mode cubic), MARGINAL inside p's band; coefficient signs unchecked."""
+    `phi_cubic` for a mode cubic), NEUTRAL inside p's band; coefficient signs unchecked."""
     if abs(gap) <= _band(p.a1 * p.a2, p.a0):  # the marginal band around a1*a2 == a0
-        return Verdict.MARGINAL
-    return Verdict.ALL_NEGATIVE_REAL_PART if gap > 0.0 else Verdict.HAS_NONNEGATIVE_REAL_PART
+        return Classification.NEUTRAL
+    return Classification.STABLE if gap > 0.0 else Classification.UNSTABLE
 
 
 def _newton_polish(p: MonicCubic, t: float) -> float:
@@ -206,7 +208,7 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
     return list(map(tuple.__new__, repeat(RootSet), zip(roots)))
 
 
-def hurwitz_negative(p: MonicCubic) -> Verdict:
+def hurwitz_negative(p: MonicCubic) -> Classification:
     """Lemma-style verdict: with positive coefficients, all roots lie in the open
     left half plane iff a1*a2 > a0 (strictly, outside the marginal band)."""
     if not (p.a0 > 0.0 and p.a1 > 0.0 and p.a2 > 0.0):
@@ -222,7 +224,7 @@ class ImaginaryRootFactorization(NamedTuple):
 def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactorization]:
     """If a1 > 0 and a1*a2 == a0 (within tolerance), the cubic factors as
     (t^2 + a1)(t + a2); returns (sqrt(a1), -a2) in that case, None otherwise."""
-    if p.a1 <= 0.0 or _gap_verdict(p, _gap(p)) is not Verdict.MARGINAL:
+    if p.a1 <= 0.0 or _gap_verdict(p, _gap(p)) is not Classification.NEUTRAL:
         return None
     sigma = math.sqrt(p.a1)
     # Factorization residual check at the imaginary root.

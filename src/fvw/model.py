@@ -111,10 +111,6 @@ def _coexistence(p: ModelParams) -> tuple[float, float, float, float]:
     return f, v, w, _ldexp(2.0 * b * g * s / d, eb + eg + es - k) + p.epsilon
 
 
-def coexistence_w(p: ModelParams) -> float:
-    return _coexistence(p)[2]
-
-
 def coexistence_state(p: ModelParams) -> State:
     """Coordinates (f*, v*, w*) of the coexistence equilibrium."""
     return State(*_coexistence(p)[:3])

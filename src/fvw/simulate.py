@@ -26,7 +26,8 @@ _MIN_RTOL = 100 * sys.float_info.epsilon  # scipy RK45's floor on rtol, kept so 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step classical RK4 ("rk4"), or adaptive Dormand-Prince 5(4) ("rk45") with scipy RK45's step control."""
+    """Fixed-step classical RK4 ("rk4"), or adaptive Dormand-Prince 5(4) ("rk45") with scipy RK45's step control.
+    rtol and atol are read by rk45 only, and dt by rk4 and `simulate_pde` only; no PDE snapshot may follow t_final."""
 
     method: str = "rk4"
     t_final: float = 10.0
@@ -233,6 +234,8 @@ class FieldState:
             raise ValidationError("f, v, w must have equal length")
         if not (math.isfinite(self.domain_length) and self.domain_length > 0):
             raise ValidationError(f"domain_length must be a positive finite real, got {self.domain_length}")
+        if not math.isfinite(self.time):
+            raise ValidationError(f"time must be finite, got {self.time}")
 
     @property
     def grid_points(self) -> int:
@@ -299,7 +302,7 @@ def simulate_pde(
     second-order periodic central differences; returns snapshots at the
     requested times in increasing order (the initial field is not included unless requested).
 
-    Every snapshot time must be finite and not before field0.time, or ValidationError is raised before any
+    Every snapshot time must lie in [field0.time, cfg.t_final], or ValidationError is raised before any
     work. A dt above the diffusion CFL bound is always clamped to it, with a CFLWarning; a caller that must
     refuse such a dt turns the warning into an error (warnings.simplefilter("error", CFLWarning)), which
     raises before any step. More than _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside
@@ -309,9 +312,10 @@ def simulate_pde(
     if cfg.method != "rk4":
         raise ValidationError("simulate_pde uses fixed-step explicit integration (method 'rk4')")
     times = sorted(float(t) for t in snapshot_times)
-    bad = [t for t in times if not (math.isfinite(t) and t >= field0.time)]
+    bad = [t for t in times if not field0.time <= t <= cfg.t_final]  # both ends are finite, so nan and inf are out
     if bad:
-        raise ValidationError(f"snapshot time {bad[0]} is not finite or precedes the initial time {field0.time}")
+        raise ValidationError(f"snapshot time {bad[0]} is not finite or precedes the initial time {field0.time} "
+                              f"or follows t_final {cfg.t_final}")
 
     h = field0.domain_length / field0.grid_points
     bound = cfl_bound(h, p)
@@ -406,8 +410,6 @@ def simulate_pde(
 
 
 def write_snapshots_csv(snapshots: Sequence[FieldState], path) -> None:
-    """Long-form CSV (t, x, f, v, w) across all snapshots."""
-    rows = []
-    for snap in snapshots:
-        rows += np.column_stack((np.full(snap.grid_points, snap.time), snap.x, snap.f, snap.v, snap.w)).tolist()
-    _write_csv(path, ["t", "x", "f", "v", "w"], rows)
+    """Long-form CSV (t, x, f, v, w) across all snapshots, one snapshot's rows in memory at a time."""
+    rows = (np.column_stack((np.full(s.grid_points, s.time), s.x, s.f, s.v, s.w)).tolist() for s in snapshots)
+    _write_csv(path, ["t", "x", "f", "v", "w"], chain.from_iterable(rows))

@@ -5,7 +5,6 @@ wave-train construction, and the plant-competition spectrum.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -15,23 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .cubic import (
-    MonicCubic, RootSet, Verdict, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
+    Classification, MonicCubic, RootSet, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
 )
 from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
 from .model import ModelParams, _coexistence, _product_over, coexistence_state, jacobian
-
-
-class Classification(enum.Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    NEUTRAL = "neutral"
-
-
-_CLASSIFICATION = {
-    Verdict.ALL_NEGATIVE_REAL_PART: Classification.STABLE,
-    Verdict.MARGINAL: Classification.NEUTRAL,
-    Verdict.HAS_NONNEGATIVE_REAL_PART: Classification.UNSTABLE,
-}
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     terms = _coexistence_terms(p)
     poly = _finite("the mode cubic", _mode_cubic(p, terms, 0.0))
-    return StabilityVerdict(upsilon(p), _CLASSIFICATION[_gap_verdict(poly, terms[6].b0)], solve_cubic(poly))
+    return StabilityVerdict(upsilon(p), _gap_verdict(poly, terms[6].b0), solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -144,7 +130,7 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
     """Sample the mode spectrum over a grid of squared wavenumbers; a Phi(mu) that is not finite raises
     NumericalFailure. The coefficients, Phi(mu) and the roots are computed for the whole grid in one array pass,
     each sample bit for bit as `solve_cubic` and the scalar formulas give it. A sample is stable where
-    `_gap_verdict` gives ALL_NEGATIVE_REAL_PART: where phi exceeds its band."""
+    `_gap_verdict` gives STABLE: where phi exceeds its band."""
     terms = _coexistence_terms(p)
     phi = terms[6]
     mu = np.array(mu_grid)

@@ -14,7 +14,6 @@ from fvw import (
     ModelParams,
     MonicCubic,
     State,
-    Verdict,
     all_ones,
     classify_equilibrium,
     coexistence_state,
@@ -156,7 +155,7 @@ def test_criterion_6_cubic_lemma_equivalence():
         verdict = hurwitz_negative(p)
         max_re = max(np.roots([1.0, *p]).real)
         root_says_negative = max_re < 0
-        criterion_says_negative = verdict is Verdict.ALL_NEGATIVE_REAL_PART
+        criterion_says_negative = verdict is Classification.STABLE
         if root_says_negative != criterion_says_negative:
             disagreements += 1
     assert disagreements == 0

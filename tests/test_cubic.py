@@ -10,11 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvw import (
+    Classification,
     HypothesisViolated,
     ModelParams,
     MonicCubic,
     RootSet,
-    Verdict,
     dispersion_coefficients,
     hurwitz_negative,
     imaginary_root_factorization,
@@ -180,8 +180,8 @@ class TestSolveCubic:
         assert min(max(abs(g - w) / abs(w) - 4.0 * 2.0**-52 * k for g, w, k in zip(order, want, kappa))
                    for order in itertools.permutations(got)) <= 1e-12
         verdict = _gap_verdict(poly, _gap(poly))
-        if verdict is not Verdict.MARGINAL:
-            assert (max(z.real for z in got) < 0.0) == (verdict is Verdict.ALL_NEGATIVE_REAL_PART)
+        if verdict is not Classification.NEUTRAL:
+            assert (max(z.real for z in got) < 0.0) == (verdict is Classification.STABLE)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -284,16 +284,16 @@ class TestArrayKernel:
 
 class TestHurwitz:
     def test_strictly_negative(self):
-        assert hurwitz_negative(MonicCubic(3.0, 3.0, 1.0)) is Verdict.ALL_NEGATIVE_REAL_PART
+        assert hurwitz_negative(MonicCubic(3.0, 3.0, 1.0)) is Classification.STABLE
 
     def test_marginal(self):
-        assert hurwitz_negative(MonicCubic(1.0, 1.0, 1.0)) is Verdict.MARGINAL
+        assert hurwitz_negative(MonicCubic(1.0, 1.0, 1.0)) is Classification.NEUTRAL
 
     def test_nonnegative_real_part(self):
         # Oracle: numpy finds a conjugate pair with positive real part.
         p = MonicCubic(1.0, 2.0, 5.0)
         assert max(numpy_roots(p).real) > 0
-        assert hurwitz_negative(p) is Verdict.HAS_NONNEGATIVE_REAL_PART
+        assert hurwitz_negative(p) is Classification.UNSTABLE
 
     @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -1.0)])
     def test_hypothesis_violation(self, coeffs):
@@ -309,7 +309,7 @@ class TestHurwitz:
                 continue
             verdict = hurwitz_negative(p)
             max_re = max(numpy_roots(p).real)
-            if verdict is Verdict.ALL_NEGATIVE_REAL_PART:
+            if verdict is Classification.STABLE:
                 assert max_re < 0
             else:
                 assert max_re >= -1e-12 * (1.0 + abs(max_re))
@@ -338,7 +338,7 @@ class TestImaginaryRootFactorization:
         # The gap a1 a2 - a0 = -1e-4 lies inside the marginal band at this scale, but |p(i)| = 1e-4 exceeds
         # the residual bound at sigma = 1: no factorization is returned.
         p = MonicCubic(1e6, 1.0, 1e6 + 1e-4)
-        assert hurwitz_negative(p) is Verdict.MARGINAL
+        assert hurwitz_negative(p) is Classification.NEUTRAL
         assert imaginary_root_factorization(p) is None
 
     def test_agrees_with_root_oracle(self):

@@ -14,7 +14,6 @@ from fvw import (
     ValidationError,
     all_ones,
     coexistence_state,
-    coexistence_w,
     equilibria,
     jacobian,
     reaction_rhs,
@@ -120,13 +119,6 @@ class TestEquilibria:
             assert not (in_range and math.isfinite(want_ups))
             return
         assert abs(ups - want_ups) <= 1e-9 * (abs(want_ups) + p.epsilon)
-
-    def test_coexistence_w_is_the_state_w(self):
-        # The public w* alone is the third coordinate of the state, bit for bit, across scales of the rates.
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            p = random_rates(rng, low=1e-6, high=1e6)
-            assert coexistence_w(p) == coexistence_state(p).w
 
 
 class TestReactionRhs:

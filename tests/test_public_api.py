@@ -8,8 +8,8 @@ PUBLIC_NAMES = {
     "DiffusionThreshold", "DispersionSample", "Equilibrium", "FieldState", "HypothesisViolated",
     "IntegratorConfig", "KernelMoments", "ModelParams", "MonicCubic", "NoWaveTrain", "NumericalFailure",
     "PhiCubic", "RootSet", "SlowDecay", "StabilityVerdict", "State", "StepFailure", "Trajectory",
-    "ValidationError", "VarsigmaOutOfRange", "Verdict", "WaveTrain", "all_ones", "classify_equilibrium",
-    "coexistence_state", "coexistence_w", "competition_instability", "competition_matrix",
+    "ValidationError", "VarsigmaOutOfRange", "WaveTrain", "all_ones", "classify_equilibrium",
+    "coexistence_state", "competition_instability", "competition_matrix",
     "dispersion_coefficients", "dispersion_curve", "equilibria", "find_k0", "find_wavetrain",
     "hurwitz_negative", "imaginary_root_factorization", "integrate_ode", "jacobian", "kernel_moments",
     "mode_attraction", "mode_matrix", "phi_cubic", "pizzetti_constants", "reaction_rhs", "simulate_pde",

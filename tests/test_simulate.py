@@ -384,20 +384,22 @@ class TestSimulatePde:
             with pytest.raises(CFLWarning, match="dt clamped from 0.5 to CFL bound 0.00481914"):
                 simulate_pde(field0, p, cfg, [0.5])
 
-    @pytest.mark.parametrize("time0, times", [
-        (0.0, [math.nan]),
-        (0.0, [math.nan, 0.5]),
-        (0.0, [0.5, math.inf]),
-        (0.0, [-0.1]),
-        (0.25, [0.5, 0.2]),
-    ], ids=["nan", "nan-then-finite", "inf", "negative", "before-initial-time"])
-    def test_invalid_snapshot_times_rejected(self, time0, times):
-        # Every snapshot time must be finite and not before the initial field's time. A nan time makes every
-        # later span nan: no step would be taken, and the initial field would come back labelled with a later time.
+    @pytest.mark.parametrize("time0, times, t_final", [
+        (0.0, [math.nan], 10.0),
+        (0.0, [math.nan, 0.5], 10.0),
+        (0.0, [0.5, math.inf], 10.0),
+        (0.0, [-0.1], 10.0),
+        (0.25, [0.5, 0.2], 10.0),
+        (0.0, [0.2], 0.01),
+    ], ids=["nan", "nan-then-finite", "inf", "negative", "before-initial-time", "after-t_final"])
+    def test_invalid_snapshot_times_rejected(self, time0, times, t_final):
+        # Every snapshot time must be finite, not before the initial field's time and not after cfg.t_final. A nan
+        # time makes every later span nan: no step would be taken, and the initial field would come back labelled
+        # with a later time. A time past t_final would run on beyond the configured end.
         p = all_ones(c=1.0, d=1.0)
         field0 = dataclasses.replace(uniform_field(coexistence_state(p), 64, 2 * math.pi), time=time0)
         with pytest.raises(ValidationError, match="is not finite or precedes the initial time"):
-            simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=1e-3), times)
+            simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=1e-3, t_final=t_final), times)
 
     def test_snapshot_at_the_initial_time(self, distinct_params):
         # A snapshot time equal to the initial field's time is valid and returns that field unchanged.
@@ -430,6 +432,12 @@ class TestSimulatePde:
     def test_unequal_field_lengths_rejected(self):
         with pytest.raises(ValidationError, match="f, v, w must have equal length"):
             FieldState(1.0, np.zeros(8), np.zeros(9), np.zeros(8))
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time):
+        # A field's time starts every snapshot span of `simulate_pde`, which would otherwise blame the snapshots.
+        with pytest.raises(ValidationError, match="time must be finite"):
+            FieldState(1.0, np.zeros(8), np.zeros(8), np.zeros(8), time=time)
 
     def test_grid_too_large_rejected_before_allocating(self, unstable_diffusive_params):
         # 10**7 + 2 points would take ~80 MB a field; the cap is checked before any of them is built.

@@ -40,7 +40,7 @@ from fvw import (
     upsilon,
 )
 from fvw import model as fvw_model, stability as fvw_stability
-from fvw.cubic import Verdict, _gap_verdict
+from fvw.cubic import _gap_verdict
 
 from conftest import random_rates, vars_dict
 
@@ -113,7 +113,7 @@ def scalar_dispersion(p: ModelParams, mu_grid) -> list[DispersionSample]:
         gap = phi(mu)
         if not math.isfinite(gap):
             raise NumericalFailure("Phi(mu) is not finite")
-        stable = _gap_verdict(poly, gap) is Verdict.ALL_NEGATIVE_REAL_PART
+        stable = _gap_verdict(poly, gap) is Classification.STABLE
         out.append(DispersionSample(mu, *poly, gap, solve_cubic(poly), stable))
     return out
 
@@ -355,14 +355,14 @@ class TestDispersionArrayPass:
     def test_verdict_where_the_band_overflows(self, recwarn):
         # E1 = (1, 7.5e153, 1) as mpmath gives it; a2 = 1.125e154 and a1 = 1.875e154 are finite, but a1 * a2
         # and so the band overflow to inf; Phi(0) = 4.2e307 is finite and positive, yet _gap_verdict calls the
-        # row MARGINAL, so it is not stable.
+        # row NEUTRAL, so it is not stable.
         p = ModelParams(alpha=1.0, beta=7.5e153, gamma=1.125e154, delta=1.5, epsilon=1.0, eta=1.0, zeta=1.0)
         assert coexistence_state(p) == pytest.approx((1.0, 7.5e153, 1.0), rel=1e-15)
         got = dispersion_curve(p, [0.0, 1.0])
         assert not recwarn.list
         for s in got:
             assert math.isinf(s.a1 * s.a2) and math.isfinite(s.phi) and s.phi > 0.0
-            assert _gap_verdict(MonicCubic(s.a2, s.a1, s.a0), s.phi) is Verdict.MARGINAL
+            assert _gap_verdict(MonicCubic(s.a2, s.a1, s.a0), s.phi) is Classification.NEUTRAL
             assert s.stable is False
         assert repr(got) == repr(scalar_dispersion(p, [0.0, 1.0]))
 

@@ -14,7 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from fvw import stability  # noqa: E402
-from fvw.model import _reaction, jacobian  # noqa: E402
+from fvw.model import ModelParams, _coexistence, _reaction, jacobian  # noqa: E402
 
 al, be, ga, de, ep, et, ze, W, c, d, mu, lam, vs = sympy.symbols(
     "alpha beta gamma delta epsilon eta zeta W c d mu lambda varsigma", positive=True)
@@ -127,3 +127,35 @@ def test_upsilon_sign_at_exact_rational_rates():
         for gamma in gamma_c * (1 + sympy.Rational(1, 10**12)), gamma_c * (1 - sympy.Rational(1, 10**12)):
             ups = upsilon_formula(ga).subs({al: a, be: b, de: dl, ep: e, ga: gamma})
             assert bool(ups < 0) == bool(sympy.sqrt(b * gamma) * (a - dl) > a * e)
+
+
+def test_float_linear_theory_within_ulps_of_the_exact_values(mode_matrix):
+    """`_coexistence`, `dispersion_coefficients` and `phi_cubic` at float rates and a float mu, against sympy's closed
+    forms at the floats' exact rational values, evaluated to 50 digits. Each lies within 8 ulps times the condition
+    number kappa = sum |terms| / |sum| of its formula's outer sum. Every outer sum has positive terms (kappa = 1)
+    but Upsilon's, 2 beta gamma (delta - alpha) / D + eps, which b0 = delta zeta v* w* Upsilon inherits: kappa is
+    large near gamma_c, where every other draw puts gamma."""
+    a2, a1, a0 = char_poly(mode_matrix)
+    phi = sympy.Poly(sympy.cancel(a1 * a2 - a0), mu).all_coeffs()
+    names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
+    rng = random.Random(0)
+    for i in range(20):
+        rates = {name: 10 ** rng.uniform(-2, 2) for name in names}
+        if i % 2:  # gamma = gamma_c (1 +- 10^-k), gamma_c = alpha^2 eps^2 / (beta (alpha - delta)^2) with alpha > delta
+            rates["alpha"] += rates["delta"]
+            a, b, dl, e = (rates[name] for name in ("alpha", "beta", "delta", "epsilon"))
+            rates["gamma"] = a * a * e * e / (b * (a - dl) ** 2) * (1 + rng.choice((-1, 1)) * 10 ** -rng.uniform(2, 12))
+        p, x = ModelParams(**rates), 10 ** rng.uniform(-2, 2)
+        exact = {sym: sympy.Rational(rates[name]) for sym, name in zip((al, be, ga, de, ep, et, ze, c, d), names)}
+        g = exact.pop(ga)
+        D = denominator(g).subs(exact)
+        exact.update({W: 2 * al * g / D, mu: sympy.Rational(x)})
+        ups_terms = ((2 * be * g * (de - al) / D).subs(exact), exact[ep])
+        kappa = sympy.N((abs(ups_terms[0]) + ups_terms[1]) / abs(sum(ups_terms)), 20)
+        f, v, w, ups = _coexistence(p)
+        checks = [(f, ze * W / et, 1), (v, be * W / al, 1), (w, W, 1), (ups, sum(ups_terms), kappa)]
+        checks += zip(stability.dispersion_coefficients(p, x), (a2, a1, a0), (1, 1, 1))
+        checks += zip(stability.phi_cubic(p), phi, (1, 1, 1, kappa))
+        for got, formula, k in checks:
+            want = sympy.N(formula, 50, subs=exact)
+            assert abs(sympy.Float(got, 50) - want) <= 8 * 2.0**-52 * k * abs(want), (i, got, want, k)
