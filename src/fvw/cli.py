@@ -119,12 +119,11 @@ def cmd_equilibria(cfg: RunConfig) -> list[str]:
 
 
 def cmd_stability(cfg: RunConfig) -> list[str]:
-    rows = []
-    for which in ("E0", "E1"):
-        verdict = stability.classify_equilibrium(which, cfg.params)
-        rows.append(
-            [which, verdict.upsilon, verdict.classification.value, *_eig_columns(verdict.eigenvalues)]
-        )
+    e0 = stability.classify_equilibrium("E0", cfg.params)
+    ups = stability.upsilon(cfg.params)  # E1's discriminant, written beside both verdicts
+    e1 = stability.classify_equilibrium("E1", cfg.params)
+    rows = [[which, ups, verdict.classification.value, *_eig_columns(verdict.eigenvalues)]
+            for which, verdict in (("E0", e0), ("E1", e1))]
     header = ["equilibrium", "upsilon", "classification",
               "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im"]
     _write_csv(cfg.output, header, rows)
@@ -172,7 +171,7 @@ def cmd_wavetrain(cfg: RunConfig) -> list[str]:
 def cmd_competition(cfg: RunConfig) -> list[str]:
     opts = cfg.options
     spec = stability.competition_instability(cfg.params, opts["mu"], opts["varsigma"])
-    row = [spec.varsigma, spec.gamma, spec.mu,
+    row = [opts["varsigma"], cfg.params.gamma, opts["mu"],
            spec.q_coeffs.a2, spec.q_coeffs.a1, spec.q_coeffs.a0,
            spec.unstable, spec.continuation_root, *_eig_columns(spec.eigenvalues)]
     header = ["varsigma", "gamma", "mu", "a2", "a1", "a0", "unstable", "continuation_root",
@@ -225,8 +224,7 @@ def cmd_kernel_moments(cfg: RunConfig) -> list[str]:
         raise ValidationError(f"scale must be positive with (1 / scale)**2 finite, got {scale}")
     k0 = _KERNELS[opts["kernel"]](scale)
     result = kernels.kernel_moments(k0, opts["dimension"], opts["j_max"])
-    constants = kernels.pizzetti_constants(opts["dimension"], opts["j_max"])
-    rows = [[j, constants[j], ell] for j, ell in enumerate(result.moments)]
+    rows = [[j, c, ell] for j, (c, ell) in enumerate(zip(result.constants, result.moments))]
     _write_csv(cfg.output, ["j", "c_nj", "ell_j"], rows)
     return [f"ell_0..ell_{opts['j_max']} written"]
 
@@ -240,14 +238,15 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
     for value in _grid(opts["start"], opts["stop"], opts["samples"], opts["log"]):
         p = dataclasses.replace(cfg.params, **{axis: float(value)})
         verdict = stability.classify_equilibrium("E1", p)
+        ups = stability.upsilon(p)
         has_diffusion = p.c > 0 or p.d > 0
-        if has_diffusion and verdict.upsilon < 0:
+        if has_diffusion and ups < 0:
             wt = stability.find_wavetrain(p)  # the wave train is the threshold mode
             mu_threshold, mu_star, sigma_star = wt.mu_star, wt.mu_star, wt.sigma_star
         else:
             mu_threshold = stability.find_k0(p).mu_threshold if has_diffusion else math.nan
             mu_star = sigma_star = math.nan
-        rows.append([value, verdict.upsilon, verdict.classification.value, mu_threshold, mu_star, sigma_star])
+        rows.append([value, ups, verdict.classification.value, mu_threshold, mu_star, sigma_star])
     header = [axis, "upsilon", "classification", "mu_threshold", "mu_star", "sigma_star"]
     _write_csv(cfg.output, header, rows)
     signs = [r[1] > 0 for r in rows]

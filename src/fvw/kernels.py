@@ -47,7 +47,7 @@ def pizzetti_constants(n: int, j_max: int) -> list[float]:
 
 @dataclass(frozen=True)
 class KernelMoments:
-    dimension: int
+    constants: list[float]  # C_{n,0} .. C_{n,j_max}
     moments: list[float]  # ell_0 .. ell_{j_max}
 
 
@@ -84,4 +84,4 @@ def kernel_moments(K0: Callable[[float], float], n: int, j_max: int) -> KernelMo
                 f"dimension n = {n} is too large for this kernel's scale: rho**{power} overflows on [0, {r_max:g}]"
             ) from None
         moments.append(c * integral)
-    return KernelMoments(dimension=n, moments=moments)
+    return KernelMoments(constants=constants, moments=moments)

@@ -245,9 +245,6 @@ class FieldState:
     def x(self) -> np.ndarray:
         return np.arange(self.grid_points) * (self.domain_length / self.grid_points)
 
-    def write_csv(self, path) -> None:
-        write_snapshots_csv([self], path)
-
 
 def uniform_field(s: State, n: int, domain_length: float) -> FieldState:
     return FieldState(
@@ -305,9 +302,10 @@ def simulate_pde(
     Every snapshot time must lie in [field0.time, cfg.t_final], or ValidationError is raised before any
     work. A dt above the diffusion CFL bound is always clamped to it, with a CFLWarning; a caller that must
     refuse such a dt turns the warning into an error (warnings.simplefilter("error", CFLWarning)), which
-    raises before any step. More than _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside
-    the normal floats, raise ValidationError. The fields are checked every 16 steps and at each snapshot;
-    the first check that finds a non-finite value raises StepFailure naming its time.
+    raises before any step. More than _MAX_ROWS snapshot cells (snapshot times x grid points), more than
+    _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside the normal floats, raise
+    ValidationError. The fields are checked every 16 steps and at each snapshot; the first check that finds
+    a non-finite value raises StepFailure naming its time.
     """
     if cfg.method != "rk4":
         raise ValidationError("simulate_pde uses fixed-step explicit integration (method 'rk4')")
@@ -316,6 +314,9 @@ def simulate_pde(
     if bad:
         raise ValidationError(f"snapshot time {bad[0]} is not finite or precedes the initial time {field0.time} "
                               f"or follows t_final {cfg.t_final}")
+    if len(times) * field0.grid_points > _MAX_ROWS:  # each snapshot holds grid_points cells
+        raise ValidationError(f"snapshots x grid_points must be at most {_MAX_ROWS}, "
+                              f"got {len(times)} x {field0.grid_points}")
 
     h = field0.domain_length / field0.grid_points
     bound = cfl_bound(h, p)

@@ -22,7 +22,6 @@ from .model import ModelParams, _coexistence, _product_over, coexistence_state, 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    upsilon: float
     classification: Classification
     eigenvalues: RootSet
 
@@ -85,19 +84,20 @@ def _finite(what: str, coeffs: tuple) -> tuple:
 
 
 def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
-    """Stability verdict for "E0" (trivial, always unstable) or "E1" (coexistence)."""
+    """Stability verdict for "E0" (trivial, always unstable) or "E1" (coexistence). E0's verdict derives no E1,
+    and E1's derives it once; E1's Upsilon is `upsilon(p)`."""
     if which == "E0":
         eigs = sorted(
             (-_product_over(p.beta, p.gamma, p.epsilon), _product_over(p.gamma, p.zeta, p.epsilon), -p.epsilon)
         )
         if not all(map(math.isfinite, eigs)):
             raise NumericalFailure(f"the trivial equilibrium leaves the float range: eigenvalues {tuple(eigs)}")
-        return StabilityVerdict(upsilon(p), Classification.UNSTABLE, RootSet(tuple(map(complex, eigs))))
+        return StabilityVerdict(Classification.UNSTABLE, RootSet(tuple(map(complex, eigs))))
     if which != "E1":
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     terms = _coexistence_terms(p)
     poly = _finite("the mode cubic", _mode_cubic(p, terms, 0.0))
-    return StabilityVerdict(upsilon(p), _gap_verdict(poly, terms[6].b0), solve_cubic(poly))
+    return StabilityVerdict(_gap_verdict(poly, terms[6].b0), solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -204,7 +204,6 @@ class WaveTrain:
     sigma_star: float
     eigvec: np.ndarray  # unit-norm complex eigenvector X* of A(mu*) for eigenvalue i sigma*
     decay_eigenvalue: float  # -a2(mu*), the remaining real eigenvalue
-    span_basis: tuple[np.ndarray, np.ndarray]  # (Re X*, Im X*)
 
 
 def _null_vector(A: np.ndarray, lam: complex) -> np.ndarray:
@@ -234,8 +233,7 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
     if fact is None:
         raise NoWaveTrain(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
     x = _null_vector(mode_matrix(p, mu), 1j * fact.sigma)
-    return WaveTrain(mu_star=mu, sigma_star=fact.sigma, eigvec=x, decay_eigenvalue=fact.real_root,
-                     span_basis=(x.real.copy(), x.imag.copy()))
+    return WaveTrain(mu_star=mu, sigma_star=fact.sigma, eigvec=x, decay_eigenvalue=fact.real_root)
 
 
 def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
@@ -273,9 +271,6 @@ def competition_matrix(p: ModelParams, mu: float, varsigma: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class CompetitionSpectrum:
-    varsigma: float
-    gamma: float
-    mu: float
     q_coeffs: MonicCubic
     eigenvalues: RootSet
     unstable: bool
@@ -297,9 +292,6 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
     real_roots = [r.real for r in eigs.roots if abs(r.imag) <= _band(abs(r))]
     continuation = min(real_roots, key=lambda r: abs(r - varsigma)) if real_roots else math.nan
     return CompetitionSpectrum(
-        varsigma=varsigma,
-        gamma=p.gamma,
-        mu=mu,
         q_coeffs=q,
         eigenvalues=eigs,
         unstable=eigs.max_real_part() > _band(max(abs(a) for a in q)),

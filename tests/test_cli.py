@@ -3,6 +3,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stdout
 
@@ -261,14 +263,17 @@ class TestExtremeMagnitudes:
             (["dispersion", "--gamma", "1e300", "--samples", "3"], 3, "the mode cubic is not finite"),
             (["competition", "--gamma", "1e300"], 3, "the competition cubic is not finite"),
             (["sweep", "--gamma", "1e300", "--samples", "3"], 3, "the mode cubic is not finite"),
+            # E0's verdict is finite; E1, whose Upsilon the CSV writes beside both verdicts, is not.
+            (["stability", "--alpha", "1e-300", "--beta", "1e300", "--delta", "1e-300"], 3,
+             "the coexistence equilibrium leaves the float range"),
             (["competition", "--mu", "nan"], 2, "mu must be positive and finite"),
             (["competition", "--mu", "inf"], 2, "mu must be positive and finite"),
             # Phi's coefficients are finite; its value at the second sample is not.
             (["dispersion", "--mu-max", "1e308", "--c", "1", "--d", "1"], 3,
              "Phi(mu) is not finite: its value inf at mu = 5e+305 leaves the float range\n"),
         ],
-        ids=["stability-gamma", "dispersion-gamma", "competition-gamma", "sweep-gamma", "competition-mu-nan",
-             "competition-mu-inf", "dispersion-phi-value"],
+        ids=["stability-gamma", "dispersion-gamma", "competition-gamma", "sweep-gamma", "stability-e1-past-e0",
+             "competition-mu-nan", "competition-mu-inf", "dispersion-phi-value"],
     )
     def test_overflowing_cubic_coefficients(self, tmp_path, capsys, argv, code, message):
         # Valid rates whose mode or competition cubic, or Phi at a sampled mu, leaves the float range have no
@@ -667,6 +672,23 @@ class TestValidationAndDeterminism:
         monkeypatch.setitem(COMMANDS, "equilibria", (handler, {}))
         with pytest.raises(ValueError, match="internal bug"):
             main(["equilibria", "--output", str(tmp_path / "e.csv")])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stability"], 0),
+        (["stability", "--alpha", "-1"], 2),
+        (["wavetrain"], 3),  # unit rates: Upsilon = 1, so there is no wave train
+    ], ids=["ok", "validation-error", "numerical-failure"])
+    def test_exit_code_of_the_module_run_as_a_process(self, tmp_path, argv, code):
+        # `python -m fvw.cli` runs the __main__ guard, which passes main's return value to sys.exit.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-m", "fvw.cli", *argv, "--output", str(tmp_path / "out.csv")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code
+        assert "Traceback" not in run.stderr
+        if code:
+            assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert (tmp_path / "out.csv").exists() == (code == 0)
 
     @pytest.mark.filterwarnings("ignore::fvw.errors.CFLWarning")
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

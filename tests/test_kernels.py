@@ -40,6 +40,9 @@ class TestPizzettiConstants:
 
 
 class TestKernelMoments:
+    def test_constants_are_the_pizzetti_constants(self):
+        assert kernel_moments(lambda r: math.exp(-r), 3, 4).constants == pizzetti_constants(3, 4)
+
     def test_gaussian_closed_forms(self):
         result = kernel_moments(lambda r: math.exp(-r * r), 1, 2)
         assert result.moments[0] == pytest.approx(math.sqrt(math.pi), abs=1e-9)

@@ -26,7 +26,7 @@ from fvw import (
     single_mode_field,
     uniform_field,
 )
-from fvw.simulate import _fmt, _write_csv, write_snapshots_csv
+from fvw.simulate import _fmt, _write_csv
 
 
 def dist_to_equilibrium(traj, eq):
@@ -450,12 +450,25 @@ class TestSimulatePde:
             tracemalloc.stop()
         assert peak < 10**6
 
-    def test_field_csv_matches_snapshots_csv(self, unstable_diffusive_params, tmp_path):
-        snap = single_mode_field(unstable_diffusive_params, 16, 2 * math.pi, 3, 0.1, cos_amplitudes=(0.5, -1.0, 2.0))
-        single, many = tmp_path / "single.csv", tmp_path / "many.csv"
-        snap.write_csv(single)
-        write_snapshots_csv([snap], many)
-        assert single.read_bytes() == many.read_bytes()
+    def test_snapshot_cells_capped_before_allocating(self, monkeypatch):
+        # A repeated snapshot time takes no step, so the work cap does not bound the list: the cells it would
+        # hold are checked against the row cap before any field is built.
+        monkeypatch.setattr("fvw.simulate._MAX_ROWS", 1000)
+        p = all_ones(c=1.0, d=1.0)
+        field0 = single_mode_field(p, 16, 2 * math.pi, 1, 1e-3)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        assert len(simulate_pde(field0, p, cfg, [0.5] * 62)) == 62  # 992 cells
+        times = [0.5] * 20000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="snapshots x grid_points must be at most 1000, got 63 x 16"):
+                simulate_pde(field0, p, cfg, times[:63])
+            with pytest.raises(ValidationError, match="snapshots x grid_points must be at most 1000, got 20000 x 16"):
+                simulate_pde(field0, p, cfg, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestCsvWriter:

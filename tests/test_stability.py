@@ -175,10 +175,19 @@ class TestClassifyEquilibrium:
         verdict = classify_equilibrium("E0", all_ones(beta=1e200, gamma=1e200, epsilon=1e150))
         assert [r.real for r in verdict.eigenvalues.roots] == pytest.approx([-1e250, -1e150, 1e50], rel=1e-15)
 
+    def test_trivial_verdict_where_the_coexistence_state_leaves_the_float_range(self):
+        # v* = 1e600 is past the float range, but E0's eigenvalues -beta gamma/epsilon, zeta gamma/epsilon and
+        # -epsilon are finite, and E0's verdict reads nothing of E1.
+        p = all_ones(alpha=1e-300, beta=1e300, delta=1e-300)
+        with pytest.raises(NumericalFailure, match="the coexistence equilibrium leaves the float range"):
+            coexistence_state(p)
+        verdict = classify_equilibrium("E0", p)
+        assert verdict.classification is Classification.UNSTABLE
+        assert list(verdict.eigenvalues.roots) == [(-1e300 + 0j), (-1 + 0j), (1 + 0j)]
+
     def test_coexistence_stable_all_ones(self, ones):
         verdict = classify_equilibrium("E1", ones)
         assert verdict.classification is Classification.STABLE
-        assert verdict.upsilon == pytest.approx(1.0)
         assert verdict.eigenvalues.max_real_part() < 0
 
     def test_coexistence_unstable(self, unstable_params):
@@ -526,7 +535,7 @@ class TestWaveTrain:
 
     def test_span_basis_independent(self, unstable_diffusive_params):
         wt = find_wavetrain(unstable_diffusive_params)
-        M = np.vstack(wt.span_basis)
+        M = np.vstack((wt.eigvec.real, wt.eigvec.imag))
         assert np.linalg.matrix_rank(M, tol=1e-10) == 2
 
     def test_no_wavetrain_when_stable(self):
@@ -707,10 +716,11 @@ class TestCompetition:
 
 class TestCoexistenceRecord:
     @pytest.mark.parametrize("call, derivations", [
-        (lambda p: classify_equilibrium("E1", p), 2),  # the record, and upsilon for the verdict's Upsilon
+        (lambda p: classify_equilibrium("E0", p), 0),  # E0's eigenvalues need no E1
+        (lambda p: classify_equilibrium("E1", p), 1),
         (lambda p: dispersion_curve(p, np.linspace(0.0, 2.0, 21)), 1),
         (find_wavetrain, 3),  # the record, find_k0, and mode_matrix's own E1 for the eigenvector
-    ], ids=["classify-E1", "dispersion_curve", "find_wavetrain"])
+    ], ids=["classify-E0", "classify-E1", "dispersion_curve", "find_wavetrain"])
     def test_coexistence_derived_once_per_call(self, monkeypatch, unstable_diffusive_params, call, derivations):
         calls = []
         derive = fvw_model._coexistence
