@@ -126,10 +126,11 @@ def equilibria(p: ModelParams) -> tuple[Equilibrium, Equilibrium]:
 
 def _reaction(p: ModelParams):
     """rhs(f, v, w) -> (f', v', w') under the reaction terms alone, for floats or equal-shape arrays f, v, w.
-    The rates are read once here and held as closure locals, which an integrator's inner loop calls cheaply.
-    This is the reaction for the ODE, `reaction_rhs` and the symbolic tests. `simulate_pde` has a second,
-    stacked in-place form that forms the fire and vegetation rows in one call per operation; it does the
-    same operations in the same order, which `TestBitIdentity` checks bit for bit."""
+    The rates are read once here and held as closure locals. This is the reaction for rk45 (`simulate._dp45`),
+    `reaction_rhs` and the symbolic tests. Two integrators write it out instead, with the same operations in the
+    same order, which `TestBitIdentity` checks bit for bit: the rk4 float march `simulate._rk4_march`, which
+    spares four Python calls a step, and `simulate_pde`'s stacked in-place kernel, which forms the fire and
+    vegetation rows in one numpy call per operation."""
     alpha, beta, gamma, delta, epsilon, eta, zeta = p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.eta, p.zeta
 
     def rhs(f, v, w):

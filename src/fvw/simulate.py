@@ -21,6 +21,7 @@ from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rh
 NEGATIVITY_TOL = -1e-9
 _MAX_ROWS = 10**7  # most rows a run may hold (ODE rows, PDE grid points or snapshot cells, samples): ~300 B each
 _MAX_WORK = 10**10  # most PDE steps x grid points a run may take: 0.2-1 us each, so hours at the cap
+_CSV_BLOCK_ROWS = 4096  # trajectory rows `Trajectory.write_csv` turns into Python floats at a time: ~1 MB
 _MIN_RTOL = 100 * sys.float_info.epsilon  # scipy RK45's floor on rtol, kept so that rk45 runs match RK45's
 
 
@@ -57,7 +58,10 @@ class Trajectory:
         return State(*self.states[-1])
 
     def write_csv(self, path) -> None:
-        _write_csv(path, ["t", "f", "v", "w"], np.column_stack((self.times, self.states)).tolist())
+        """CSV (t, f, v, w), _CSV_BLOCK_ROWS rows in memory as Python floats at a time."""
+        rows = (np.column_stack((self.times[i:i + _CSV_BLOCK_ROWS], self.states[i:i + _CSV_BLOCK_ROWS])).tolist()
+                for i in range(0, len(self.times), _CSV_BLOCK_ROWS))
+        _write_csv(path, ["t", "f", "v", "w"], chain.from_iterable(rows))
 
 
 def _fmt(x) -> str:
@@ -79,20 +83,41 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
 
 
-def _rk4_step(rhs, y, h):
-    """One classical RK4 step of y' = rhs(*y) for a 3-tuple y of Python floats, as `integrate_ode` takes it.
-    `simulate_pde` has its own march, which does the same arithmetic in place on one (4, N) array."""
-    f, v, w = y
+def _rk4_march(p, y0, h, n_steps):
+    """n_steps classical RK4 steps of size h of the reaction ODE from the 3-tuple y0 of floats; returns the rows
+    (f, v, w), the start included, as one flat array('d'): 24 B a step.
+
+    The rates are read once, and each stage writes the reaction terms out with the operations of
+    `model._reaction` in their order: the closure's bits, without its four Python calls a step, a quarter of
+    the step's time. A float that overflows becomes inf rather than raising, and `integrate_ode`'s scan of the
+    rows names the first one that is not finite. `simulate_pde` has its own march, which does the same
+    arithmetic in place on one (4, N) array."""
+    alpha, beta, gamma, delta, epsilon, eta, zeta = p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.eta, p.zeta
     a, b = 0.5 * h, h / 6.0
-    k1f, k1v, k1w = rhs(f, v, w)
-    k2f, k2v, k2w = rhs(f + a * k1f, v + a * k1v, w + a * k1w)
-    k3f, k3v, k3w = rhs(f + a * k2f, v + a * k2v, w + a * k2w)
-    k4f, k4v, k4w = rhs(f + h * k3f, v + h * k3v, w + h * k3w)
-    return (
-        f + b * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-        v + b * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-        w + b * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
-    )
+    f, v, w = y0
+    rows = array("d", y0)
+    extend = rows.extend
+    for _ in range(n_steps):
+        k1f = f * (alpha * v - beta * w)
+        k1v = v * (zeta * w - eta * f)
+        k1w = gamma - delta * v * w - epsilon * w
+        sf, sv, sw = f + a * k1f, v + a * k1v, w + a * k1w
+        k2f = sf * (alpha * sv - beta * sw)
+        k2v = sv * (zeta * sw - eta * sf)
+        k2w = gamma - delta * sv * sw - epsilon * sw
+        sf, sv, sw = f + a * k2f, v + a * k2v, w + a * k2w
+        k3f = sf * (alpha * sv - beta * sw)
+        k3v = sv * (zeta * sw - eta * sf)
+        k3w = gamma - delta * sv * sw - epsilon * sw
+        sf, sv, sw = f + h * k3f, v + h * k3v, w + h * k3w
+        k4f = sf * (alpha * sv - beta * sw)
+        k4v = sv * (zeta * sw - eta * sf)
+        k4w = gamma - delta * sv * sw - epsilon * sw
+        f = f + b * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        v = v + b * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        w = w + b * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        extend((f, v, w))
+    return rows
 
 
 def _rms(a, b, c):
@@ -192,23 +217,15 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
     """Integrate the reaction ODE system from s0 up to cfg.t_final; a non-finite state raises StepFailure."""
     if not all(map(math.isfinite, s0)):
         raise ValidationError(f"initial state must be finite, got {tuple(s0)}")
-    rhs = _reaction(p)
+    y0 = tuple(map(float, s0))
     if cfg.method == "rk4":
         if cfg.t_final / cfg.dt > _MAX_ROWS - 1:
             raise ValidationError(f"t_final / dt must be at most {_MAX_ROWS - 1} steps, got {cfg.t_final / cfg.dt:.6g}")
         n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
-        dt = cfg.t_final / n_steps
         times = np.linspace(0.0, cfg.t_final, n_steps + 1)
-        y = tuple(map(float, s0))
-        rows = [y]
-        append = rows.append
-        for _ in range(n_steps):
-            y = _rk4_step(rhs, y, dt)
-            append(y)
-        # One pass over the flattened rows: ~2.5x faster than np.array(rows) at 5,001 rows, the same values.
-        states = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
+        states = np.frombuffer(_rk4_march(p, y0, cfg.t_final / n_steps, n_steps)).reshape(-1, 3)
     else:
-        rows = np.frombuffer(_dp45(rhs, tuple(map(float, s0)), cfg)).reshape(-1, 4)
+        rows = np.frombuffer(_dp45(_reaction(p), y0, cfg)).reshape(-1, 4)
         times, states = rows[:, 0], rows[:, 1:]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
@@ -335,7 +352,7 @@ def simulate_pde(
     # with (x, y, z) = (f, v, w) and (v, w, f), so one call per operation forms both, and the diffusion of
     # (w, f) is one stacked pass. Each coefficient is a full-width array or a 0-d array of the march's dtype,
     # which numpy multiplies faster than a broadcast column or a Python float. Every element still sees the
-    # operations of `model._reaction` and `_rk4_step` in their order, so the bits are the reference march's.
+    # operations of `model._reaction` and `_rk4_march` in their order, so the bits are the reference march's.
     ftype = np.result_type(1.0, field0.f, field0.v, field0.w)
     n = field0.grid_points
     gain, loss, coeffs = (np.repeat(np.array([[x], [z]], ftype), n, axis=1)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from fvw import (
     single_mode_field,
     uniform_field,
 )
+from fvw.model import _RATE_NAMES
 from fvw.simulate import _fmt, _write_csv
 
 
@@ -35,7 +37,7 @@ def dist_to_equilibrium(traj, eq):
 
 # Reference integrators: the original array-based algorithms (State-boxed RHS,
 # numpy-array RK4, np.roll Laplacian, np.array stacking). The library's
-# tuple-based path performs the same floating-point operations in the same
+# Python-float path performs the same floating-point operations in the same
 # order, so its output must match these bit for bit. The rk45 reference is
 # scipy's RK45, whose decisions the library's driver takes with other sums.
 def reference_rhs(y, p):
@@ -102,13 +104,28 @@ def distinct_params() -> ModelParams:
     return ModelParams(alpha=1.3, beta=0.7, gamma=1.1, delta=0.9, epsilon=0.4, eta=1.6, zeta=0.8, c=1.0, d=0.3)
 
 
+@pytest.fixture
+def log_uniform_params() -> ModelParams:
+    """One seeded draw of the seven rates, log-uniform in [1e-2, 1e2]: alpha ~ 24, delta ~ 0.11 and
+    E1 ~ (14, 0.19, 0.43)."""
+    rng = random.Random(0)
+    return ModelParams(**{name: 10 ** rng.uniform(-2.0, 2.0) for name in _RATE_NAMES})
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("params", ["ones", "unstable_params", "distinct_params"])
-    @pytest.mark.parametrize("method", ["rk4", "rk45"])
-    def test_integrate_ode_matches_reference(self, request, params, method):
+    @pytest.mark.parametrize("method, params, s0", [
+        *(pytest.param(method, params, None, id=f"{method}-{params}")
+          for method in ("rk4", "rk45") for params in ("ones", "unstable_params", "distinct_params")),
+        # The rk4 march writes the reaction terms out in each stage, so each of the twelve is checked at magnitudes
+        # the starts near E1 miss: from this start f, v and w span 1e-24 to 30, and the drawn rates span 1e-2 to 1e2.
+        pytest.param("rk4", "distinct_params", State(1e-3, 30.0, 1e-2), id="rk4-distinct_params-far-from-E1"),
+        pytest.param("rk4", "log_uniform_params", None, id="rk4-log_uniform_params"),
+    ])
+    def test_integrate_ode_matches_reference(self, request, method, params, s0):
         p = request.getfixturevalue(params)
-        eq = coexistence_state(p)
-        s0 = State(eq.f + 0.07, eq.v - 0.04, eq.w + 0.09)
+        if s0 is None:
+            eq = coexistence_state(p)
+            s0 = State(eq.f + 0.07, eq.v - 0.04, eq.w + 0.09)
         cfg = IntegratorConfig(method=method, dt=0.01, t_final=20.0)
         traj = integrate_ode(s0, p, cfg)
         times, states = reference_integrate_ode(s0, p, cfg)
@@ -314,6 +331,39 @@ class TestIntegrateOde:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 10**4
+
+    def test_rk4_rows_stay_small(self, ones):
+        # 24 B a row as (f, v, w) doubles, plus 8 B of times.
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=100.0)
+        tracemalloc.start()
+        try:
+            traj = integrate_ode(State(1.0, 0.5, 1.5), ones, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 10**5 + 1
+        assert peak < 64 * len(traj.times)
+
+    def test_rk4_blow_up_time(self, ones):
+        # f < 0 grows without bound; Python floats overflow to inf rather than raising, and the scan of the rows
+        # names the first row that is not finite.
+        with pytest.raises(StepFailure) as info:
+            integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=10.0, dt=0.01))
+        assert str(info.value) == "state became non-finite at t=1.01"
+
+    def test_trajectory_csv_streams_in_blocks(self, ones, tmp_path):
+        # 100,001 rows, not a multiple of the block: the bytes are those of the whole table written at once,
+        # while the peak holds one block of Python floats.
+        traj = integrate_ode(State(1.0, 0.5, 1.5), ones, IntegratorConfig(method="rk4", dt=1e-3, t_final=100.0))
+        tracemalloc.start()
+        try:
+            traj.write_csv(tmp_path / "blocks.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+        _write_csv(tmp_path / "whole.csv", ["t", "f", "v", "w"], np.column_stack((traj.times, traj.states)).tolist())
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
