@@ -146,14 +146,10 @@ def cmd_dispersion(cfg: RunConfig) -> list[str]:
     if min(opts["mu_min"], opts["mu_max"]) < 0:
         raise ValidationError("mu_min and mu_max must be nonnegative")
     samples = stability.dispersion_curve(cfg.params, _grid(opts["mu_min"], opts["mu_max"], opts["samples"]))
-    rows = [
-        [s.mu, s.a2, s.a1, s.a0, s.phi, s.stable, s.eigenvalues.max_real_part()]
-        for s in samples
-    ]
-    _write_csv(cfg.output, ["mu", "a2", "a1", "a0", "phi", "stable", "max_re_eig"], rows)
-    sign_changes = sum(
-        1 for a, b in zip(samples, samples[1:]) if (a.phi < 0) != (b.phi < 0)
-    )
+    mu, a2, a1, a0, phi, eigenvalues, stable = zip(*samples)
+    columns = (*map(np.array, (mu, a2, a1, a0, phi)), stable, np.array([r.max_real_part() for r in eigenvalues]))
+    _write_csv(cfg.output, ["mu", "a2", "a1", "a0", "phi", "stable", "max_re_eig"], blocks=[columns])
+    sign_changes = sum(1 for a, b in zip(phi, phi[1:]) if (a < 0) != (b < 0))
     return [f"{len(samples)} samples, phi sign changes: {sign_changes}"]
 
 

@@ -27,8 +27,9 @@ from fvw import (
     single_mode_field,
     uniform_field,
 )
+import fvw.simulate
 from fvw.model import _RATE_NAMES
-from fvw.simulate import _fmt, _write_csv
+from fvw.simulate import _fmt, _rk4_march, _write_csv, write_snapshots_csv
 
 
 def dist_to_equilibrium(traj, eq):
@@ -351,6 +352,15 @@ class TestIntegrateOde:
             integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=10.0, dt=0.01))
         assert str(info.value) == "state became non-finite at t=1.01"
 
+    def test_rk4_march_stops_after_a_blow_up(self, ones):
+        # The state turns non-finite at row 101 of 10**6: the march ends at its first check, after one block of
+        # steps, and integrate_ode still names row 101.
+        rows = _rk4_march(ones, (-1.0, 1.0, 1.0), 0.01, 10**6)
+        assert len(rows) == 3 * (1 + fvw.simulate._RK4_CHECK_STEPS)
+        with pytest.raises(StepFailure) as info:
+            integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=1e4, dt=0.01))
+        assert str(info.value) == "state became non-finite at t=1.01"
+
     def test_trajectory_csv_streams_in_blocks(self, ones, tmp_path):
         # 100,001 rows, not a multiple of the block: the bytes are those of the whole table written at once,
         # while the peak holds one block of Python floats.
@@ -500,6 +510,23 @@ class TestSimulatePde:
             tracemalloc.stop()
         assert peak < 10**6
 
+    def test_snapshot_csv_streams_in_blocks(self, tmp_path):
+        # 200,000 points, not a multiple of the block, then a second snapshot: the bytes are those of all the rows
+        # passed to _write_csv in one call, while the peak holds one block rather than a snapshot's Python floats.
+        rng = np.random.default_rng(0)
+        snapshots = [FieldState(7.0, *rng.standard_normal((3, n)), time=t) for n, t in ((2 * 10**5, 0.25), (8, 1.5))]
+        tracemalloc.start()
+        try:
+            write_snapshots_csv(snapshots, tmp_path / "blocks.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+        rows = [row for s in snapshots
+                for row in np.column_stack((np.full(s.grid_points, s.time), s.x, s.f, s.v, s.w)).tolist()]
+        _write_csv(tmp_path / "whole.csv", ["t", "x", "f", "v", "w"], rows)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_snapshot_cells_capped_before_allocating(self, monkeypatch):
         # A repeated snapshot time takes no step, so the work cap does not bound the list: the cells it would
         # hold are checked against the row cap before any field is built.
@@ -522,7 +549,7 @@ class TestSimulatePde:
 
 
 class TestCsvWriter:
-    def test_bytes_match_the_csv_module(self, tmp_path):
+    def test_bytes_match_the_csv_module(self, tmp_path, monkeypatch):
         # _write_csv joins _fmt cells with commas and ends lines with \r\n; no cell needs quoting, so the
         # bytes must be those csv.writer writes for the same cells.
         header = ["label", "flag", "n", "x"]
@@ -545,3 +572,26 @@ class TestCsvWriter:
         assert path.read_bytes() == want.getvalue().encode()
         assert path.read_bytes().splitlines()[1:3] == [b"coexistence,true,3,0.10000000000000001",
                                                        b"trivial,false,-7,0.33333333333333331"]
+
+        # Column blocks: a floating ndarray column goes through one `%` as %.17g, every other column through
+        # _fmt, and the bytes are still those of csv.writer over the _fmt cells. Seven rows in blocks of three
+        # put two block boundaries inside the table.
+        monkeypatch.setattr("fvw.simulate._CSV_BLOCK_ROWS", 3)
+        specials = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3])
+        columns = [
+            specials,
+            specials[::-1],
+            np.array([1 / 3, -0.0, math.nan, -math.inf, 1e-45, 3.4028234663852886e38, 0.1], np.float32),
+            np.array([2**60, -(2**60), 0, 1, -1, 2**53 + 1, 7]),
+            [2**60, np.int64(-(2**62)), True, np.bool_(False), "label", 0.1, np.float64(-0.0)],
+            np.array([True, False, True, True, False, False, True]),
+        ]
+        header = ["a", "b", "c", "n", "mixed", "flag"]
+        _write_csv(path, header, blocks=[columns])
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in zip(*columns))
+        assert path.read_bytes() == want.getvalue().encode()
+        assert path.read_bytes().splitlines()[1] == (b"nan,0.33333333333333331,0.3333333432674408,"
+                                                     b"1152921504606846976,1152921504606846976,true")
