@@ -113,7 +113,7 @@ def _eig_columns(root_set) -> list[float]:
 def cmd_equilibria(cfg: RunConfig) -> list[str]:
     e0, e1 = model.equilibria(cfg.params)
     rows = [[eq.label, eq.point.f, eq.point.v, eq.point.w] for eq in (e0, e1)]
-    _write_csv(cfg.output, ["label", "f", "v", "w"], rows)
+    _write_csv(cfg.output, ["label", "f", "v", "w"], [list(zip(*rows))])
     return [f"E0=({_fmt(e0.point.f)}, {_fmt(e0.point.v)}, {_fmt(e0.point.w)})",
             f"E1=({_fmt(e1.point.f)}, {_fmt(e1.point.v)}, {_fmt(e1.point.w)})"]
 
@@ -126,7 +126,7 @@ def cmd_stability(cfg: RunConfig) -> list[str]:
             for which, verdict in (("E0", e0), ("E1", e1))]
     header = ["equilibrium", "upsilon", "classification",
               "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im"]
-    _write_csv(cfg.output, header, rows)
+    _write_csv(cfg.output, header, [list(zip(*rows))])
     return [f"{row[0]}: {row[2]} (Upsilon={_fmt(row[1])})" for row in rows]
 
 
@@ -148,7 +148,7 @@ def cmd_dispersion(cfg: RunConfig) -> list[str]:
     samples = stability.dispersion_curve(cfg.params, _grid(opts["mu_min"], opts["mu_max"], opts["samples"]))
     mu, a2, a1, a0, phi, eigenvalues, stable = zip(*samples)
     columns = (*map(np.array, (mu, a2, a1, a0, phi)), stable, np.array([r.max_real_part() for r in eigenvalues]))
-    _write_csv(cfg.output, ["mu", "a2", "a1", "a0", "phi", "stable", "max_re_eig"], blocks=[columns])
+    _write_csv(cfg.output, ["mu", "a2", "a1", "a0", "phi", "stable", "max_re_eig"], [columns])
     sign_changes = sum(1 for a, b in zip(phi, phi[1:]) if (a < 0) != (b < 0))
     return [f"{len(samples)} samples, phi sign changes: {sign_changes}"]
 
@@ -160,7 +160,7 @@ def cmd_wavetrain(cfg: RunConfig) -> list[str]:
            x[0].real, x[0].imag, x[1].real, x[1].imag, x[2].real, x[2].imag]
     header = ["mu_star", "k_star", "sigma_star", "decay_eigenvalue",
               "F_re", "F_im", "V_re", "V_im", "W_re", "W_im"]
-    _write_csv(cfg.output, header, [row])
+    _write_csv(cfg.output, header, [list(zip(row))])
     return [f"mu*={_fmt(wt.mu_star)} sigma*={_fmt(wt.sigma_star)}"]
 
 
@@ -172,7 +172,7 @@ def cmd_competition(cfg: RunConfig) -> list[str]:
            spec.unstable, spec.continuation_root, *_eig_columns(spec.eigenvalues)]
     header = ["varsigma", "gamma", "mu", "a2", "a1", "a0", "unstable", "continuation_root",
               "eig1_re", "eig1_im", "eig2_re", "eig2_im", "eig3_re", "eig3_im"]
-    _write_csv(cfg.output, header, [row])
+    _write_csv(cfg.output, header, [list(zip(row))])
     return [f"unstable={_fmt(spec.unstable)} continuation_root={_fmt(spec.continuation_root)}"]
 
 
@@ -220,8 +220,8 @@ def cmd_kernel_moments(cfg: RunConfig) -> list[str]:
         raise ValidationError(f"scale must be positive with (1 / scale)**2 finite, got {scale}")
     k0 = _KERNELS[opts["kernel"]](scale)
     result = kernels.kernel_moments(k0, opts["dimension"], opts["j_max"])
-    rows = [[j, c, ell] for j, (c, ell) in enumerate(zip(result.constants, result.moments))]
-    _write_csv(cfg.output, ["j", "c_nj", "ell_j"], rows)
+    columns = (range(len(result.moments)), result.constants, result.moments)
+    _write_csv(cfg.output, ["j", "c_nj", "ell_j"], [columns])
     return [f"ell_0..ell_{opts['j_max']} written"]
 
 
@@ -244,7 +244,7 @@ def cmd_sweep(cfg: RunConfig) -> list[str]:
             mu_star = sigma_star = math.nan
         rows.append([value, ups, verdict.classification.value, mu_threshold, mu_star, sigma_star])
     header = [axis, "upsilon", "classification", "mu_threshold", "mu_star", "sigma_star"]
-    _write_csv(cfg.output, header, rows)
+    _write_csv(cfg.output, header, [list(zip(*rows))])
     signs = [r[1] > 0 for r in rows]
     crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return [f"{len(rows)} rows, Upsilon sign changes: {crossings}"]

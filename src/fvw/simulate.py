@@ -60,7 +60,7 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """CSV (t, f, v, w), formatted _CSV_BLOCK_ROWS rows at a time."""
-        _write_csv(path, ["t", "f", "v", "w"], blocks=[(self.times, *self.states.T)])
+        _write_csv(path, ["t", "f", "v", "w"], [(self.times, *self.states.T)])
 
 
 def _fmt(x) -> str:
@@ -85,14 +85,13 @@ def _block_lines(columns) -> str:
     return line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells, strict=True)))
 
 
-def _write_csv(path, header: Sequence[str], rows=(), blocks=()) -> None:
-    """The one CSV writer: a header line, then one line per row of `rows`, its cells formatted by `_fmt`, then
-    the lines of each of `blocks`, a sequence of equal-length columns that `_block_lines` formats
-    _CSV_BLOCK_ROWS rows at a time. No cell holds a comma, quote or line break, so the lines are those of
-    `csv.writer` (excel dialect)."""
+def _write_csv(path, header: Sequence[str], blocks) -> None:
+    """The one CSV writer: a header line, then the lines of each of `blocks`, a sequence of equal-length columns
+    that `_block_lines` formats _CSV_BLOCK_ROWS rows at a time. A table is one or more blocks; a table held as
+    rows is passed as the one block `list(zip(*rows))`. No cell holds a comma, quote or line break, so the
+    lines are those of `csv.writer` (excel dialect) over the `_fmt` cells."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
         for columns in blocks:
             for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
                 fh.write(_block_lines([c[i:i + _CSV_BLOCK_ROWS] for c in columns]))
@@ -243,8 +242,13 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
         if cfg.t_final / cfg.dt > _MAX_ROWS - 1:
             raise ValidationError(f"t_final / dt must be at most {_MAX_ROWS - 1} steps, got {cfg.t_final / cfg.dt:.6g}")
         n_steps = max(1, math.ceil(cfg.t_final / cfg.dt))
-        times = np.linspace(0.0, cfg.t_final, n_steps + 1)
-        states = np.frombuffer(_rk4_march(p, y0, cfg.t_final / n_steps, n_steps)).reshape(-1, 3)
+        h = cfg.t_final / n_steps
+        states = np.frombuffer(_rk4_march(p, y0, h, n_steps)).reshape(-1, 3)
+        # np.linspace(0, t_final, n_steps + 1)'s bits, built only for the rows the march returned: a march that
+        # ends at a blow-up returns fewer, and only a complete run reaches the endpoint that linspace sets.
+        times = np.arange(len(states)) * h
+        if len(times) == n_steps + 1:
+            times[-1] = cfg.t_final
     else:
         rows = np.frombuffer(_dp45(_reaction(p), y0, cfg)).reshape(-1, 4)
         times, states = rows[:, 0], rows[:, 1:]
@@ -459,4 +463,4 @@ def write_snapshots_csv(snapshots: Sequence[FieldState], path) -> None:
                 j = min(i + _CSV_BLOCK_ROWS, n)
                 yield np.full(j - i, s.time, float), np.arange(i, j) * spacing, s.f[i:j], s.v[i:j], s.w[i:j]
 
-    _write_csv(path, ["t", "x", "f", "v", "w"], blocks=blocks())
+    _write_csv(path, ["t", "x", "f", "v", "w"], blocks())

@@ -49,9 +49,6 @@ CSV_DIGESTS = [
      "b652d2ab9e1f8019f3bc1edd9a568cd0751214f015bedf921b0ff81ad77bb304"),
 ]
 
-# The tables written as column blocks.
-BLOCK_DIGESTS = [case for case in CSV_DIGESTS if case[0][0] in ("dispersion", "simulate-ode", "simulate-pde")]
-
 
 def log_uniform(low, high):
     return st.floats(math.log(low), math.log(high)).map(math.exp)
@@ -584,10 +581,14 @@ class TestValidationAndDeterminism:
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv, digest", BLOCK_DIGESTS, ids=[argv[0] for argv, _ in BLOCK_DIGESTS])
-    def test_csv_digest_across_blocks(self, tmp_path, monkeypatch, argv, digest):
-        # Cut into blocks of 7 rows, a snapshot of 16 points among them, the tables keep their digests.
-        monkeypatch.setattr("fvw.simulate._CSV_BLOCK_ROWS", 7)
+    @pytest.mark.parametrize("argv, digest, block_rows", [
+        *(pytest.param(argv, digest, 7, id=argv[0]) for argv, digest in CSV_DIGESTS),
+        *(pytest.param(argv, digest, 1, id=f"{argv[0]}-block_rows=1") for argv, digest in CSV_DIGESTS),
+    ])
+    def test_csv_digest_across_blocks(self, tmp_path, monkeypatch, argv, digest, block_rows):
+        # Every table is written as column blocks. Cut into blocks of 7 rows, a snapshot of 16 points among them,
+        # or after every row, which splits even the one- and two-row tables, the tables keep their digests.
+        monkeypatch.setattr("fvw.simulate._CSV_BLOCK_ROWS", block_rows)
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -32,6 +32,15 @@ from fvw.model import _RATE_NAMES
 from fvw.simulate import _fmt, _rk4_march, _write_csv, write_snapshots_csv
 
 
+def csv_module_bytes(header, rows) -> bytes:
+    """The bytes csv.writer writes for the header and the _fmt cells of rows: the oracle of `_write_csv`."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return out.getvalue().encode()
+
+
 def dist_to_equilibrium(traj, eq):
     return np.linalg.norm(traj.states - np.asarray(eq), axis=1)
 
@@ -114,20 +123,24 @@ def log_uniform_params() -> ModelParams:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("method, params, s0", [
-        *(pytest.param(method, params, None, id=f"{method}-{params}")
+    @pytest.mark.parametrize("method, params, s0, dt, t_final", [
+        *(pytest.param(method, params, None, 0.01, 20.0, id=f"{method}-{params}")
           for method in ("rk4", "rk45") for params in ("ones", "unstable_params", "distinct_params")),
         # The rk4 march writes the reaction terms out in each stage, so each of the twelve is checked at magnitudes
         # the starts near E1 miss: from this start f, v and w span 1e-24 to 30, and the drawn rates span 1e-2 to 1e2.
-        pytest.param("rk4", "distinct_params", State(1e-3, 30.0, 1e-2), id="rk4-distinct_params-far-from-E1"),
-        pytest.param("rk4", "log_uniform_params", None, id="rk4-log_uniform_params"),
+        pytest.param("rk4", "distinct_params", State(1e-3, 30.0, 1e-2), 0.01, 20.0,
+                     id="rk4-distinct_params-far-from-E1"),
+        pytest.param("rk4", "log_uniform_params", None, 0.01, 20.0, id="rk4-log_uniform_params"),
+        # t_final / dt = 24.29 takes 25 steps of 0.068, and 25 x 0.068 rounds to 1.7000000000000002: the last
+        # time must still be linspace's endpoint, t_final.
+        pytest.param("rk4", "distinct_params", None, 0.07, 1.7, id="rk4-distinct_params-partial-step"),
     ])
-    def test_integrate_ode_matches_reference(self, request, method, params, s0):
+    def test_integrate_ode_matches_reference(self, request, method, params, s0, dt, t_final):
         p = request.getfixturevalue(params)
         if s0 is None:
             eq = coexistence_state(p)
             s0 = State(eq.f + 0.07, eq.v - 0.04, eq.w + 0.09)
-        cfg = IntegratorConfig(method=method, dt=0.01, t_final=20.0)
+        cfg = IntegratorConfig(method=method, dt=dt, t_final=t_final)
         traj = integrate_ode(s0, p, cfg)
         times, states = reference_integrate_ode(s0, p, cfg)
         if method == "rk4":
@@ -354,15 +367,22 @@ class TestIntegrateOde:
 
     def test_rk4_march_stops_after_a_blow_up(self, ones):
         # The state turns non-finite at row 101 of 10**6: the march ends at its first check, after one block of
-        # steps, and integrate_ode still names row 101.
+        # steps, and integrate_ode still names row 101. The times are built for the rows returned only: the
+        # whole grid of 10**6 + 1 would take 8 MB.
         rows = _rk4_march(ones, (-1.0, 1.0, 1.0), 0.01, 10**6)
         assert len(rows) == 3 * (1 + fvw.simulate._RK4_CHECK_STEPS)
-        with pytest.raises(StepFailure) as info:
-            integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=1e4, dt=0.01))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StepFailure) as info:
+                integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=1e4, dt=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(info.value) == "state became non-finite at t=1.01"
+        assert peak < 10**6
 
     def test_trajectory_csv_streams_in_blocks(self, ones, tmp_path):
-        # 100,001 rows, not a multiple of the block: the bytes are those of the whole table written at once,
+        # 100,001 rows, not a multiple of the block: the bytes are those csv.writer writes for the whole table,
         # while the peak holds one block of Python floats.
         traj = integrate_ode(State(1.0, 0.5, 1.5), ones, IntegratorConfig(method="rk4", dt=1e-3, t_final=100.0))
         tracemalloc.start()
@@ -372,8 +392,8 @@ class TestIntegrateOde:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 10**6
-        _write_csv(tmp_path / "whole.csv", ["t", "f", "v", "w"], np.column_stack((traj.times, traj.states)).tolist())
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        rows = np.column_stack((traj.times, traj.states)).tolist()
+        assert (tmp_path / "blocks.csv").read_bytes() == csv_module_bytes(["t", "f", "v", "w"], rows)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -511,8 +531,8 @@ class TestSimulatePde:
         assert peak < 10**6
 
     def test_snapshot_csv_streams_in_blocks(self, tmp_path):
-        # 200,000 points, not a multiple of the block, then a second snapshot: the bytes are those of all the rows
-        # passed to _write_csv in one call, while the peak holds one block rather than a snapshot's Python floats.
+        # 200,000 points, not a multiple of the block, then a second snapshot: the bytes are those csv.writer writes
+        # for all the rows, while the peak holds one block rather than a snapshot's Python floats.
         rng = np.random.default_rng(0)
         snapshots = [FieldState(7.0, *rng.standard_normal((3, n)), time=t) for n, t in ((2 * 10**5, 0.25), (8, 1.5))]
         tracemalloc.start()
@@ -524,8 +544,7 @@ class TestSimulatePde:
         assert peak < 4 * 10**6
         rows = [row for s in snapshots
                 for row in np.column_stack((np.full(s.grid_points, s.time), s.x, s.f, s.v, s.w)).tolist()]
-        _write_csv(tmp_path / "whole.csv", ["t", "x", "f", "v", "w"], rows)
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == csv_module_bytes(["t", "x", "f", "v", "w"], rows)
 
     def test_snapshot_cells_capped_before_allocating(self, monkeypatch):
         # A repeated snapshot time takes no step, so the work cap does not bound the list: the cells it would
@@ -550,8 +569,14 @@ class TestSimulatePde:
 
 class TestCsvWriter:
     def test_bytes_match_the_csv_module(self, tmp_path, monkeypatch):
-        # _write_csv joins _fmt cells with commas and ends lines with \r\n; no cell needs quoting, so the
-        # bytes must be those csv.writer writes for the same cells.
+        # _write_csv formats a block of columns by one `%`: a floating ndarray column as %.17g, every other column
+        # through _fmt. No cell needs quoting, so the bytes must be those csv.writer writes for the _fmt cells.
+        # Blocks of three rows put block boundaries inside both tables.
+        monkeypatch.setattr("fvw.simulate._CSV_BLOCK_ROWS", 3)
+        path = tmp_path / "out.csv"
+
+        # Mixed cells within each column, given as rows and transposed: no column is an ndarray, so every cell
+        # goes through _fmt.
         header = ["label", "flag", "n", "x"]
         rows = [
             ["coexistence", True, 3, 0.1],
@@ -563,20 +588,13 @@ class TestCsvWriter:
             ["tiny", True, 2, 5e-324],
             [np.float64(-1e300), 1.7976931348623157e308, np.float64(math.nan), np.float64(-0.0)],
         ]
-        path = tmp_path / "out.csv"
-        _write_csv(path, header, rows)
-        want = io.StringIO(newline="")
-        writer = csv.writer(want)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
-        assert path.read_bytes() == want.getvalue().encode()
+        _write_csv(path, header, [list(zip(*rows))])
+        assert path.read_bytes() == csv_module_bytes(header, rows)
         assert path.read_bytes().splitlines()[1:3] == [b"coexistence,true,3,0.10000000000000001",
                                                        b"trivial,false,-7,0.33333333333333331"]
 
-        # Column blocks: a floating ndarray column goes through one `%` as %.17g, every other column through
-        # _fmt, and the bytes are still those of csv.writer over the _fmt cells. Seven rows in blocks of three
-        # put two block boundaries inside the table.
-        monkeypatch.setattr("fvw.simulate._CSV_BLOCK_ROWS", 3)
+        # Floating ndarray columns hold the special values, beside an int64 array whose values %.17g would round,
+        # a list mixing ints, bools, a label and floats, and a bool array.
         specials = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3])
         columns = [
             specials,
@@ -587,11 +605,7 @@ class TestCsvWriter:
             np.array([True, False, True, True, False, False, True]),
         ]
         header = ["a", "b", "c", "n", "mixed", "flag"]
-        _write_csv(path, header, blocks=[columns])
-        want = io.StringIO(newline="")
-        writer = csv.writer(want)
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in zip(*columns))
-        assert path.read_bytes() == want.getvalue().encode()
+        _write_csv(path, header, [columns])
+        assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
         assert path.read_bytes().splitlines()[1] == (b"nan,0.33333333333333331,0.3333333432674408,"
                                                      b"1152921504606846976,1152921504606846976,true")
