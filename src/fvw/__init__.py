@@ -3,17 +3,7 @@ stability, diffusion thresholds, wave trains, competition spectra, and
 time-domain simulation."""
 
 from .cubic import Classification, MonicCubic, RootSet, hurwitz_negative, imaginary_root_factorization, solve_cubic
-from .errors import (
-    CFLWarning,
-    DegenerateDiffusion,
-    HypothesisViolated,
-    NoWaveTrain,
-    NumericalFailure,
-    SlowDecay,
-    StepFailure,
-    ValidationError,
-    VarsigmaOutOfRange,
-)
+from .errors import CFLWarning, NumericalFailure, ValidationError
 from .kernels import KernelMoments, kernel_moments, pizzetti_constants
 from .model import (
     Equilibrium,

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolated, ValidationError
+from .errors import ValidationError
 
 
 class MonicCubic(NamedTuple):
@@ -212,7 +212,7 @@ def hurwitz_negative(p: MonicCubic) -> Classification:
     """Lemma-style verdict: with positive coefficients, all roots lie in the open
     left half plane iff a1*a2 > a0 (strictly, outside the marginal band)."""
     if not (p.a0 > 0.0 and p.a1 > 0.0 and p.a2 > 0.0):
-        raise HypothesisViolated(f"hurwitz_negative requires positive coefficients, got {tuple(p)}")
+        raise ValidationError(f"hurwitz_negative requires positive coefficients, got {tuple(p)}")
     return _gap_verdict(p, _gap(p))
 
 

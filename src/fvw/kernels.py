@@ -13,7 +13,7 @@ from typing import Callable
 
 from scipy.integrate import quad
 
-from .errors import SlowDecay, ValidationError
+from .errors import NumericalFailure, ValidationError
 
 
 def sphere_surface_area(n: int) -> float:
@@ -63,7 +63,7 @@ def truncation_radius(K0: Callable[[float], float]) -> float:
     while K0(r) >= 1e-16 * k0:
         r *= 2.0
         if r > MAX_RADIUS:
-            raise SlowDecay(f"kernel has not decayed below 1e-16*K0(0) by radius {MAX_RADIUS}")
+            raise NumericalFailure(f"kernel has not decayed below 1e-16*K0(0) by radius {MAX_RADIUS}")
     return r
 
 

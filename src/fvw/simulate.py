@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  (kept as fvw.simulate.solve_ivp; the benchmark tracer patches it)
 
-from .errors import CFLWarning, StepFailure, ValidationError
+from .errors import CFLWarning, NumericalFailure, ValidationError
 from .model import ModelParams, State, _reaction, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 
@@ -187,8 +187,8 @@ def _dp45(rhs, y0, cfg):
         rejected = False
         while True:
             if not h_abs >= min_step:  # also a nan step, from a nan first derivative
-                raise StepFailure("adaptive integration failed: "
-                                  "Required step size is less than spacing between numbers.")
+                raise NumericalFailure("adaptive integration failed: "
+                                       "Required step size is less than spacing between numbers.")
             if evals + 6 > max_evals:
                 raise ValidationError(f"rk45 needs more than {max_evals} right-hand side evaluations "
                                       f"to reach t_final={t_final:.6g}")
@@ -234,7 +234,7 @@ def _dp45(rhs, y0, cfg):
 
 
 def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the reaction ODE system from s0 up to cfg.t_final; a non-finite state raises StepFailure."""
+    """Integrate the reaction ODE system from s0 up to cfg.t_final; a non-finite state raises NumericalFailure."""
     if not all(map(math.isfinite, s0)):
         raise ValidationError(f"initial state must be finite, got {tuple(s0)}")
     y0 = tuple(map(float, s0))
@@ -254,7 +254,7 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
         times, states = rows[:, 0], rows[:, 1:]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        raise StepFailure(f"state became non-finite at t={times[finite.argmin()]:.17g}")
+        raise NumericalFailure(f"state became non-finite at t={times[finite.argmin()]:.17g}")
     return Trajectory(times, states, negativity_flag=bool(states.min() < NEGATIVITY_TOL))
 
 
@@ -269,6 +269,9 @@ class FieldState:
     time: float = 0.0
 
     def __post_init__(self):
+        dims = tuple(map(np.ndim, (self.f, self.v, self.w)))
+        if dims != (1, 1, 1):
+            raise ValidationError(f"f, v, w must be one-dimensional, got dimensions {dims}")
         n = len(self.f)
         if n < 8:
             raise ValidationError("grid must have at least 8 points")
@@ -347,7 +350,7 @@ def simulate_pde(
     raises before any step. More than _MAX_ROWS snapshot cells (snapshot times x grid points), more than
     _MAX_WORK steps of the clamped dt times grid points, or an h^2 outside the normal floats, raise
     ValidationError. The fields are checked every 16 steps and at each snapshot; the first check that finds
-    a non-finite value raises StepFailure naming its time.
+    a non-finite value raises NumericalFailure naming its time.
     """
     if cfg.method != "rk4":
         raise ValidationError("simulate_pde uses fixed-step explicit integration (method 'rk4')")
@@ -424,7 +427,7 @@ def simulate_pde(
         n_steps = max(1, math.ceil(span / dt)) if span > 0 else 0
         step = span / n_steps if n_steps else 0.0
         a, b, h_step = (np.asarray(x, ftype) for x in (0.5 * step, step / 6.0, step))
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises StepFailure below
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises NumericalFailure below
             for i in range(1, n_steps + 1):
                 # One RK4 step: k1 accumulates k1 + 2 k2 + 2 k3 + k4 while k holds each later stage. Each write
                 # of (w, f, v) is followed by the copy of w into the last row.
@@ -445,7 +448,7 @@ def simulate_pde(
                 y_copy[...] = y_w
                 # A scan of the fields costs ~4 % of an N = 256 step; every 16th step it is noise.
                 if (i % 16 == 0 or i == n_steps) and not np.isfinite(y3).all():
-                    raise StepFailure(f"fields became non-finite at t={t + i * step:.17g}")
+                    raise NumericalFailure(f"fields became non-finite at t={t + i * step:.17g}")
         t = target
         w, f, v = y3.copy()
         snapshots.append(FieldState(field0.domain_length, f, v, w, time=t))

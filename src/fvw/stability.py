@@ -16,7 +16,7 @@ import scipy.linalg
 from .cubic import (
     Classification, MonicCubic, RootSet, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
 )
-from .errors import DegenerateDiffusion, NoWaveTrain, NumericalFailure, ValidationError, VarsigmaOutOfRange
+from .errors import NumericalFailure, ValidationError
 from .model import ModelParams, _coexistence, _product_over, coexistence_state, jacobian
 
 
@@ -186,7 +186,7 @@ def find_k0(p: ModelParams) -> DiffusionThreshold:
     """Smallest mu beyond which every higher-frequency mode is linearly stable,
     reported together with the wavenumber k0 = sqrt(mu)."""
     if p.c == 0.0 and p.d == 0.0:
-        raise DegenerateDiffusion("the diffusion threshold and wave trains require c > 0 or d > 0")
+        raise NumericalFailure("the diffusion threshold and wave trains require c > 0 or d > 0")
     phi = phi_cubic(p)
     if phi.b0 >= 0.0:
         return DiffusionThreshold(0.0, 0.0)
@@ -227,11 +227,11 @@ def find_wavetrain(p: ModelParams) -> WaveTrain:
     `imaginary_root_factorization`'s sqrt(a1) and -a2."""
     terms = _coexistence_terms(p)
     if terms[6].b0 >= 0.0:
-        raise NoWaveTrain("no wave train: Upsilon >= 0")
+        raise NumericalFailure("no wave train: Upsilon >= 0")
     mu = find_k0(p).mu_threshold
     fact = imaginary_root_factorization(_finite("the mode cubic", _mode_cubic(p, terms, mu)))
     if fact is None:
-        raise NoWaveTrain(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
+        raise NumericalFailure(f"no wave train: A(mu*) has no imaginary eigenvalue pair at mu* = {mu}")
     x = _null_vector(mode_matrix(p, mu), 1j * fact.sigma)
     return WaveTrain(mu_star=mu, sigma_star=fact.sigma, eigvec=x, decay_eigenvalue=fact.real_root)
 
@@ -250,12 +250,14 @@ def slow_eigenvector(p: ModelParams, mu: float) -> np.ndarray:
 def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> np.ndarray:
     """Evolve a single-mode amplitude theta(t) = e^{A(mu) t} theta(0) by the
     scaling-and-squaring exponential of A(mu) t."""
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t}")
     return scipy.linalg.expm(mode_matrix(p, mu) * t) @ theta0
 
 
 def _check_competition(p: ModelParams, mu: float, varsigma: float) -> None:
     if not (0.0 < varsigma < p.epsilon):
-        raise VarsigmaOutOfRange(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
+        raise ValidationError(f"varsigma must lie in (0, epsilon={p.epsilon}), got {varsigma}")
     if not 0.0 < mu < math.inf:
         raise ValidationError(f"mu must be positive and finite, got {mu}")
 

@@ -271,9 +271,16 @@ class TestExtremeMagnitudes:
             # Phi's coefficients are finite; its value at the second sample is not.
             (["dispersion", "--mu-max", "1e308", "--c", "1", "--d", "1"], 3,
              "Phi(mu) is not finite: its value inf at mu = 5e+305 leaves the float range\n"),
+            # Valid input with no result either: an unstable E1 without diffusion has no wave train, and an
+            # exponential kernel of scale 1e7 is not negligible by the largest truncation radius.
+            (["wavetrain", "--alpha", "2", "--epsilon", "0.1"], 3,
+             "the diffusion threshold and wave trains require c > 0 or d > 0\n"),
+            (["kernel-moments", "--kernel", "exponential", "--scale", "1e7"], 3,
+             "kernel has not decayed below 1e-16*K0(0) by radius 100000000.0\n"),
         ],
         ids=["stability-gamma", "dispersion-gamma", "competition-gamma", "sweep-gamma", "stability-e1-past-e0",
-             "competition-mu-nan", "competition-mu-inf", "dispersion-phi-value"],
+             "competition-mu-nan", "competition-mu-inf", "dispersion-phi-value", "wavetrain-no-diffusion",
+             "kernel-slow-decay"],
     )
     def test_overflowing_cubic_coefficients(self, tmp_path, capsys, argv, code, message):
         # Valid rates whose mode or competition cubic, or Phi at a sampled mu, leaves the float range have no
@@ -551,6 +558,7 @@ class TestValidationAndDeterminism:
              "log-spaced sweep requires positive endpoints"),
             (["sweep", "--axis", "alpha", "--start", "1", "--stop", "-1", "--log", "1"],
              "log-spaced sweep requires positive endpoints"),
+            (["competition", "--varsigma", "2"], "error: varsigma must lie in (0, epsilon=1.0), got 2.0\n"),
         ],
         ids=["alpha", "ode-t_final-inf", "pde-t_final-inf", "pde-snapshots-negative", "ode-t_final-1e300",
              "dispersion-samples-1e20", "sweep-samples-1e20", "pde-domain_length-0", "pde-domain_length-inf",
@@ -559,7 +567,7 @@ class TestValidationAndDeterminism:
              "kernel-dimension-100-scale-1e6", "pde-clamped-steps-overflow", "pde-clamped-steps-past-2^53",
              "pde-no-diffusion-domain_length-1e-300", "pde-rho-inf", "pde-rho-nan", "ode-f0-nan",
              "ode-rows-past-cap", "pde-snapshot-cells-past-cap", "pde-work-past-cap", "sweep-log-start-0",
-             "sweep-log-stop-negative"],
+             "sweep-log-stop-negative", "competition-varsigma-past-epsilon"],
     )
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out.csv"

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from fvw import (
     Classification,
-    HypothesisViolated,
     ModelParams,
     MonicCubic,
     RootSet,
+    ValidationError,
     dispersion_coefficients,
     hurwitz_negative,
     imaginary_root_factorization,
@@ -297,7 +297,7 @@ class TestHurwitz:
 
     @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -1.0)])
     def test_hypothesis_violation(self, coeffs):
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(ValidationError, match=r"^hurwitz_negative requires positive coefficients, got "):
             hurwitz_negative(MonicCubic(*coeffs))
 
     def test_agrees_with_root_oracle(self):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -17,8 +18,8 @@ from fvw import (
     FieldState,
     IntegratorConfig,
     ModelParams,
+    NumericalFailure,
     State,
-    StepFailure,
     ValidationError,
     all_ones,
     coexistence_state,
@@ -306,7 +307,8 @@ class TestIntegrateOde:
 
         rk45 = run("RK45", cfg.rtol, cfg.atol)
         if not rk45.success:
-            with pytest.raises(StepFailure):
+            failure = r"^(adaptive integration failed: |state became non-finite at t=)"
+            with pytest.raises(NumericalFailure, match=failure):
                 integrate_ode(s0, p, cfg)
             return
         traj = integrate_ode(s0, p, cfg)
@@ -361,7 +363,7 @@ class TestIntegrateOde:
     def test_rk4_blow_up_time(self, ones):
         # f < 0 grows without bound; Python floats overflow to inf rather than raising, and the scan of the rows
         # names the first row that is not finite.
-        with pytest.raises(StepFailure) as info:
+        with pytest.raises(NumericalFailure, match="state became non-finite") as info:
             integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=10.0, dt=0.01))
         assert str(info.value) == "state became non-finite at t=1.01"
 
@@ -373,7 +375,7 @@ class TestIntegrateOde:
         assert len(rows) == 3 * (1 + fvw.simulate._RK4_CHECK_STEPS)
         tracemalloc.start()
         try:
-            with pytest.raises(StepFailure) as info:
+            with pytest.raises(NumericalFailure, match="state became non-finite") as info:
                 integrate_ode(State(-1.0, 1.0, 1.0), ones, IntegratorConfig(t_final=1e4, dt=0.01))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -495,7 +497,7 @@ class TestSimulatePde:
         # a check every 16 steps reports t = 0.528.
         p = ModelParams(alpha=50.0, beta=1.0, gamma=1.0, delta=1.0, epsilon=0.01, eta=1.0, zeta=1.0, c=1.0, d=1.0)
         field0 = single_mode_field(p, 64, 2 * math.pi, 1, 0.5)
-        with pytest.raises(StepFailure) as exc:
+        with pytest.raises(NumericalFailure, match="fields became non-finite") as exc:
             simulate_pde(field0, p, IntegratorConfig(method="rk4", dt=1e-3, t_final=5.0), [1.0, 2.0, 3.0, 4.0, 5.0])
         assert str(exc.value) == "fields became non-finite at t=0.52800000000000002"
 
@@ -512,6 +514,17 @@ class TestSimulatePde:
     def test_unequal_field_lengths_rejected(self):
         with pytest.raises(ValidationError, match="f, v, w must have equal length"):
             FieldState(1.0, np.zeros(8), np.zeros(9), np.zeros(8))
+
+    @pytest.mark.parametrize("fields, dims", [
+        ((np.zeros((2, 8)), np.zeros((2, 8)), np.zeros((2, 8))), "(2, 2, 2)"),
+        ((np.zeros(8), np.zeros(8), np.zeros((8, 1))), "(1, 1, 2)"),
+        ((np.array(0.0), np.zeros(8), np.zeros(8)), "(0, 1, 1)"),
+    ], ids=["2-d", "one-field-2-d", "0-d"])
+    def test_fields_must_be_one_dimensional(self, fields, dims):
+        # A 2-D field would fail deep in simulate_pde's broadcasting, and a 0-d one has no length.
+        message = f"f, v, w must be one-dimensional, got dimensions {dims}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FieldState(1.0, *fields)
 
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, time):

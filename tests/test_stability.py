@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 
 from fvw import (
     Classification,
-    DegenerateDiffusion,
     DispersionSample,
     ModelParams,
     MonicCubic,
-    NoWaveTrain,
     NumericalFailure,
     PhiCubic,
     RootSet,
     ValidationError,
-    VarsigmaOutOfRange,
     all_ones,
     classify_equilibrium,
     coexistence_state,
@@ -477,8 +474,15 @@ class TestFindK0:
         assert abs(fvw_stability._phi_positive_root(phi) - root) <= 1e-15 * root
 
     def test_degenerate_diffusion(self, unstable_params):
-        with pytest.raises(DegenerateDiffusion):
+        with pytest.raises(NumericalFailure, match=r"^the diffusion threshold and wave trains require c > 0 or d > 0$"):
             find_k0(unstable_params)
+
+    def test_degenerate_diffusion_is_not_invalid_input(self):
+        # Valid rates without diffusion have no threshold (exit 3). The two failure classes are disjoint, so an
+        # `except ValueError` catches only the invalid input that exits 2.
+        with pytest.raises(NumericalFailure) as info:
+            find_k0(all_ones())
+        assert not isinstance(info.value, ValueError)
 
     def test_single_diffusion_coefficient(self, unstable_params):
         # c = 0 makes Phi linear in mu; the threshold must still be the root.
@@ -539,11 +543,11 @@ class TestWaveTrain:
         assert np.linalg.matrix_rank(M, tol=1e-10) == 2
 
     def test_no_wavetrain_when_stable(self):
-        with pytest.raises(NoWaveTrain):
+        with pytest.raises(NumericalFailure, match=r"^no wave train: Upsilon >= 0$"):
             find_wavetrain(all_ones(c=1.0, d=1.0))
 
     def test_degenerate_diffusion(self, unstable_params):
-        with pytest.raises(DegenerateDiffusion):
+        with pytest.raises(NumericalFailure, match=r"^the diffusion threshold and wave trains require c > 0 or d > 0$"):
             find_wavetrain(unstable_params)
 
     def test_residuals_random_unstable_draws(self):
@@ -567,6 +571,13 @@ class TestWaveTrain:
 
 
 class TestModeAttraction:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # expm of A t for a t that is not finite returns nan with a RuntimeWarning; t is checked as mode_matrix
+        # checks mu.
+        with pytest.raises(ValidationError, match=f"^t must be finite, got {t}$"):
+            mode_attraction(all_ones(c=1.0, d=1.0), 0.1, np.ones(3), t)
+
     def test_matches_mpmath_expm(self):
         rng = np.random.default_rng(67)
         with mpmath.workdps(40):
@@ -705,7 +716,7 @@ class TestCompetition:
     @pytest.mark.parametrize("varsigma", [0.0, 1.0, 1.5, -0.2])
     def test_varsigma_out_of_range(self, varsigma, ones):
         for fn in (competition_instability, competition_matrix):
-            with pytest.raises(VarsigmaOutOfRange):
+            with pytest.raises(ValidationError, match=rf"^varsigma must lie in \(0, epsilon=1\.0\), got {varsigma}$"):
                 fn(all_ones(c=1.0, d=1.0), 0.1, varsigma)
 
     def test_nonpositive_mu_rejected(self):
