@@ -222,13 +222,8 @@ class ImaginaryRootFactorization(NamedTuple):
 
 
 def imaginary_root_factorization(p: MonicCubic) -> Optional[ImaginaryRootFactorization]:
-    """If a1 > 0 and a1*a2 == a0 (within tolerance), the cubic factors as
-    (t^2 + a1)(t + a2); returns (sqrt(a1), -a2) in that case, None otherwise."""
-    if p.a1 <= 0.0 or _gap_verdict(p, _gap(p)) is not Classification.NEUTRAL:
+    """(sqrt(a1), -a2), the factors of (t^2 + a1)(t + a2), where a1 > 0, a1*a2 is finite (else the band is inf) and
+    `_gap_verdict` calls the gap NEUTRAL, which bounds |p(i sqrt(a1))| = |gap| + rounding too; None otherwise."""
+    if not (p.a1 > 0.0 and math.isfinite(p.a1 * p.a2)) or _gap_verdict(p, _gap(p)) is not Classification.NEUTRAL:
         return None
-    sigma = math.sqrt(p.a1)
-    # Factorization residual check at the imaginary root.
-    residual = abs(p(complex(0.0, sigma)))
-    if residual > _band(sigma * sigma * sigma) * 10.0:  # not sigma**3, which raises OverflowError past 5.6e102
-        return None
-    return ImaginaryRootFactorization(sigma, -p.a2)
+    return ImaginaryRootFactorization(math.sqrt(p.a1), -p.a2)

@@ -4,6 +4,7 @@ periodic domain, started from uniform or single-mode fields."""
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from array import array
@@ -272,6 +273,9 @@ class FieldState:
         dims = tuple(map(np.ndim, (self.f, self.v, self.w)))
         if dims != (1, 1, 1):
             raise ValidationError(f"f, v, w must be one-dimensional, got dimensions {dims}")
+        dtypes = tuple(np.asarray(u).dtype for u in (self.f, self.v, self.w))
+        if any(t.kind not in "biuf" for t in dtypes):
+            raise ValidationError(f"f, v, w must hold real numbers, got dtypes {tuple(map(str, dtypes))}")
         n = len(self.f)
         if n < 8:
             raise ValidationError("grid must have at least 8 points")
@@ -314,8 +318,11 @@ def single_mode_field(
     The wavenumber is k = 2 pi mode / domain_length, so the discrete and
     continuous modes coincide exactly.
     """
-    if not 1 <= mode <= n // 2 - 1:
-        raise ValidationError(f"mode must lie in [1, N/2-1], got {mode}")
+    if not (isinstance(mode, numbers.Integral) and 1 <= mode <= n // 2 - 1):  # only then sin(k(x + L)) = sin(kx)
+        raise ValidationError(f"mode must be an integer in [1, N/2-1], got {mode!r}")
+    if not len(sin_amplitudes) == len(cos_amplitudes) == 3:
+        raise ValidationError(f"sin_amplitudes and cos_amplitudes must hold 3 values each, got {len(sin_amplitudes)} "
+                              f"and {len(cos_amplitudes)}")
     if n > _MAX_ROWS:
         raise ValidationError(f"grid must have at most {_MAX_ROWS} points")
     if not all(map(math.isfinite, (rho, *sin_amplitudes, *cos_amplitudes))):

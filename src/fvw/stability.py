@@ -101,12 +101,12 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
-    """Linearization about the coexistence equilibrium for a single spatial mode
-    with squared wavenumber mu; reduces to the reaction Jacobian at mu = 0."""
+    """Linearization about the coexistence equilibrium for a single spatial mode with squared wavenumber mu. Its
+    reaction diagonal holds E1's exact zeros alpha v* - beta w* = zeta w* - eta f* = 0, as the mode cubic does."""
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mu must be nonnegative and finite, got {mu}")
     A = jacobian(coexistence_state(p), p)
-    A[0, 0] -= p.c * mu
+    A[0, 0], A[1, 1] = 0.0 - p.c * mu, 0.0
     A[2, 2] -= p.d * mu
     return A
 
@@ -138,6 +138,8 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
         raise ValidationError(f"mu_grid must be a one-dimensional sequence of real numbers, got {mu.dtype} "
                               f"of shape {mu.shape}")
     mu = mu.astype(float, copy=False)
+    if (mu < 0.0).any():  # as mode_matrix rejects it; -0.0 passes, and an inf mu is Phi's NumericalFailure below
+        raise ValidationError(f"mu_grid must be nonnegative, got mu = {float(mu[np.argmax(mu < 0.0)])!r}")
     with np.errstate(all="ignore"):  # an inf mu gives inf * 0 = nan, which the check below reports
         a2, a1, a0 = _mode_cubic(p, terms, mu)
         gap = phi(mu)
@@ -252,6 +254,9 @@ def mode_attraction(p: ModelParams, mu: float, theta0: np.ndarray, t: float) -> 
     scaling-and-squaring exponential of A(mu) t."""
     if not math.isfinite(t):
         raise ValidationError(f"t must be finite, got {t}")
+    theta0 = np.asarray(theta0)
+    if not (theta0.shape == (3,) and theta0.dtype.kind in "biufc" and np.isfinite(theta0).all()):
+        raise ValidationError(f"theta0 must be a finite real or complex vector of shape (3,), got {theta0!r}")
     return scipy.linalg.expm(mode_matrix(p, mu) * t) @ theta0
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -36,3 +37,14 @@ def random_rates(rng: np.random.Generator, low=1e-2, high=1e2, **extra) -> Model
 @pytest.fixture
 def ones() -> ModelParams:
     return all_ones()
+
+
+def mp_mode_matrix(p: ModelParams, mu: float) -> mpmath.matrix:
+    """Oracle A(mu) at mpmath's working precision, from the rates alone: E1 in closed form and the reaction
+    diagonal's first two entries, alpha v* - beta w* and zeta w* - eta f*, set to the zeros they are at E1."""
+    al, be, ga, de, ep, et, ze, c, d = (mpmath.mpf(value) for value in vars_dict(p).values())
+    w = 2 * al * ga / (mpmath.sqrt(al**2 * ep**2 + 4 * al * be * de * ga) + al * ep)
+    f, v, mu = ze * w / et, be * w / al, mpmath.mpf(mu)
+    return mpmath.matrix([[-c * mu, al * f, -be * f],
+                          [-et * v, 0, ze * v],
+                          [0, -de * w, -de * v - ep - d * mu]])

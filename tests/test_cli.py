@@ -8,13 +8,16 @@ import sys
 import warnings
 from contextlib import redirect_stdout
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fvw import CFLWarning, all_ones, phi_cubic
+from fvw import CFLWarning, ModelParams, all_ones, phi_cubic
 from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_config
+
+from conftest import mp_mode_matrix
 
 UNSTABLE_FLAGS = ["--alpha", "2", "--epsilon", "0.1", "--c", "1", "--d", "1"]
 
@@ -126,6 +129,21 @@ class TestWavetrainCommand:
         row = dict(zip(header, rows[0]))
         assert float(row["mu_star"]) == pytest.approx(0.13741280215402435, abs=1e-9)
         assert float(row["sigma_star"]) == pytest.approx(1.6516166768020915, abs=1e-9)
+
+    def test_marginal_gap_beside_a_fast_decay(self, tmp_path):
+        # a2(mu*) = 1.98e8 and sigma* = 1.45: the gap at mu*, -5.96e-8, is one ulp of a1 a2 and inside its band.
+        rates = {"alpha": 3.6e7, "beta": 9.7e8, "gamma": 4.4e8, "delta": 3.3e6, "epsilon": 39.0, "eta": 420.0,
+                 "zeta": 2.2e-10, "c": 2.9e-4, "d": 2.8e7}
+        out = tmp_path / "wt.csv"
+        argv = ["wavetrain", *(f"--{name}={value!r}" for name, value in rates.items()), "--output", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 1 and all(math.isfinite(float(cell)) for cell in rows[0])
+        row = dict(zip(header, rows[0]))
+        with mpmath.workdps(50):
+            values = mpmath.eig(mp_mode_matrix(ModelParams(**rates), float(row["mu_star"])), right=False)
+            want = max(mpmath.im(z) for z in values)
+            assert abs(float(row["sigma_star"]) - want) <= 1e-14 * want
 
 
 class TestDispersionCommand:

@@ -335,10 +335,27 @@ class TestImaginaryRootFactorization:
         assert imaginary_root_factorization(MonicCubic(3.0, 3.0, 1.0)) is None
 
     def test_marginal_gap_with_a_large_residual(self):
-        # The gap a1 a2 - a0 = -1e-4 lies inside the marginal band at this scale, but |p(i)| = 1e-4 exceeds
-        # the residual bound at sigma = 1: no factorization is returned.
+        # The gap a1 a2 - a0 = -1e-4 lies inside the marginal band at this scale, and |p(i)| = 1e-4 is that gap.
+        # mpmath gives the roots -1e6 and 5.0e-17 +- 1.00000000005i: the pair is imaginary, and sigma = sqrt(a1)
+        # = 1 is off its imaginary part by gap / (2 a2), as the band lets a factorization be.
         p = MonicCubic(1e6, 1.0, 1e6 + 1e-4)
         assert hurwitz_negative(p) is Classification.NEUTRAL
+        fact = imaginary_root_factorization(p)
+        assert fact is not None
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots([1, *map(mpmath.mpf, p)], maxsteps=200, extraprec=200)
+            pair = max(roots, key=lambda z: mpmath.im(z))
+            real = min(roots, key=lambda z: abs(mpmath.im(z)))
+            assert abs(mpmath.re(pair)) < 1e-9 * fact.sigma
+            assert abs(fact.sigma - mpmath.im(pair)) <= 1e-10 * fact.sigma
+            assert abs(fact.real_root - mpmath.re(real)) <= 1e-15 * abs(fact.real_root)
+
+    def test_overflowing_band(self):
+        # a1 a2 overflows, so the band is inf and _gap_verdict calls every gap NEUTRAL; the three roots of
+        # t^3 + 1e200 t^2 + 1e200 t + 1 are real and negative, so there is no imaginary pair.
+        p = MonicCubic(1e200, 1e200, 1.0)
+        assert _gap_verdict(p, _gap(p)) is Classification.NEUTRAL
+        assert all(r.imag == 0.0 and r.real < 0.0 for r in solve_cubic(p).roots)
         assert imaginary_root_factorization(p) is None
 
     def test_agrees_with_root_oracle(self):

@@ -526,6 +526,32 @@ class TestSimulatePde:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             FieldState(1.0, *fields)
 
+    @pytest.mark.parametrize("field, dtype", [(np.array(["1"] * 8), "<U1"), (np.ones(8, dtype=complex), "complex128")],
+                             ids=["string", "complex"])
+    def test_fields_must_hold_real_numbers(self, field, dtype):
+        # Unchecked, a string field fails in simulate_pde with numpy's DTypePromotionError, and a complex one
+        # marches to complex snapshots.
+        message = f"f, v, w must hold real numbers, got dtypes ('{dtype}', 'float64', 'int64')"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FieldState(1.0, field, np.ones(8), np.ones(8, dtype=np.int64))
+
+    @pytest.mark.parametrize("mode, sin_amplitudes, message", [
+        (1.5, (1.0, 1.0, 1.0), "mode must be an integer in [1, N/2-1], got 1.5"),
+        (1, (1.0, 1.0), "sin_amplitudes and cos_amplitudes must hold 3 values each, got 2 and 3"),
+        (1, (1.0, 1.0, 1.0, 1.0), "sin_amplitudes and cos_amplitudes must hold 3 values each, got 4 and 3"),
+    ], ids=["half-integer-mode", "two-amplitudes", "four-amplitudes"])
+    def test_single_mode_field_arguments_rejected(self, unstable_diffusive_params, mode, sin_amplitudes, message):
+        # Unchecked, mode = 1.5 gives a field that is not periodic, since sin(k(x + L)) = -sin(kx); two
+        # amplitudes raise IndexError, and a fourth is ignored.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            single_mode_field(unstable_diffusive_params, 16, 2 * math.pi, mode, 1e-3, sin_amplitudes)
+
+    def test_single_mode_field_takes_a_numpy_integer_mode(self, unstable_diffusive_params):
+        p = unstable_diffusive_params
+        got = single_mode_field(p, 16, 2 * math.pi, np.int64(2), 1e-3)
+        want = single_mode_field(p, 16, 2 * math.pi, 2, 1e-3)
+        assert all(np.array_equal(a, b) for a, b in zip((got.f, got.v, got.w), (want.f, want.v, want.w)))
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, time):
         # A field's time starts every snapshot span of `simulate_pde`, which would otherwise blame the snapshots.

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fvw import (
@@ -39,7 +39,7 @@ from fvw import (
 from fvw import model as fvw_model, stability as fvw_stability
 from fvw.cubic import _gap_verdict
 
-from conftest import random_rates, vars_dict
+from conftest import mp_mode_matrix, random_rates, vars_dict
 
 NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
 LOG_UNIFORM = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
@@ -49,6 +49,12 @@ LOG_UNIFORM = st.floats(math.log(1e-6), math.log(1e6)).map(math.exp)
 UPSILON_UNSTABLE = -0.5588723439378913
 MU_STAR = 0.13741280215402435
 SIGMA_STAR = 1.6516166768020915
+
+# Rates in NAMES order. At ONE_ULP_GAP the gap a1 a2 - a0 at mu* is -5.96e-8, one ulp of a1 a2 = 4.2e8 and far
+# inside its band of 0.84; sigma* = 1.45 beside a decay rate of 1.98e8. At WIDE_RESIDUE, alpha v* - beta w* formed
+# in floats is 3.7e-9, not 0, where ||A(mu*)|| = 0.042; as A(mu*)[0, 0] it moved X* 4.5e-8 off mpmath's eigenvector.
+ONE_ULP_GAP = [3.6e7, 9.7e8, 4.4e8, 3.3e6, 39.0, 420.0, 2.2e-10, 2.9e-4, 2.8e7]
+WIDE_RESIDUE = [2.17e8, 4.45e9, 9.56e-6, 1.03e-6, 0.0013, 0.273, 8.1e-11, 336.0, 5.54e-11]
 
 
 def char_poly_coeffs(A: np.ndarray):
@@ -60,12 +66,7 @@ def char_poly_coeffs(A: np.ndarray):
 def mp_phi(p: ModelParams, mu: float):
     """Oracle: a1 a2 - a0 of the characteristic polynomial of A(mu), built from the model at 80 digits."""
     with mpmath.workdps(80):
-        al, be, ga, de, ep, et, ze, c, d = (mpmath.mpf(getattr(p, name)) for name in NAMES)
-        w = 2 * al * ga / (mpmath.sqrt(al**2 * ep**2 + 4 * al * be * de * ga) + al * ep)
-        f, v = ze * w / et, be * w / al
-        A = mpmath.matrix([[al * v - be * w - c * mu, al * f, -be * f],
-                           [-et * v, ze * w - et * f, ze * v],
-                           [0, -de * w, -de * v - ep - d * mu]])
+        A = mp_mode_matrix(p, mu)
         a2 = -(A[0, 0] + A[1, 1] + A[2, 2])
         a1 = sum(A[i, i] * A[j, j] - A[i, j] * A[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
         return a1 * a2 + mpmath.det(A)
@@ -350,6 +351,13 @@ class TestDispersionArrayPass:
     def test_empty_grid(self, unstable_diffusive_params):
         assert dispersion_curve(unstable_diffusive_params, []) == []
 
+    def test_negative_mu_rejected(self, unstable_diffusive_params):
+        # mu = |k|^2 < 0 is no mode, as mode_matrix holds; -0.0 is zero and passes.
+        with pytest.raises(ValidationError, match=r"^mu_grid must be nonnegative, got mu = -1\.0$"):
+            dispersion_curve(unstable_diffusive_params, [0.5, -1.0])
+        (sample,) = dispersion_curve(unstable_diffusive_params, [-0.0])
+        assert repr(sample) == repr(scalar_dispersion(unstable_diffusive_params, [-0.0])[0])
+
     @pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0]], iter([0.0, 1.0]), [None], [0.0, None], ["1.0"], [1.0j]],
                              ids=["scalar", "2-d", "one-shot-iterator", "none", "none-after-a-number", "string",
                                   "complex"])
@@ -521,6 +529,7 @@ class TestWaveTrain:
             assert abs(got - want) <= 1e-8
 
     @given(draws=st.lists(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp), min_size=9, max_size=9))
+    @example(draws=WIDE_RESIDUE)
     def test_eigenvector_matches_mpmath(self, draws):
         rates = dict(zip(NAMES, draws))
         # Upsilon < 0 needs alpha > delta: ordering the pair keeps hypothesis from filtering most draws.
@@ -529,7 +538,8 @@ class TestWaveTrain:
         assume(upsilon(p) < 0)
         wt = find_wavetrain(p)
         with mpmath.workdps(50):
-            values, vectors = mpmath.eig(mpmath.matrix(mode_matrix(p, wt.mu_star).tolist()))
+            # From the rates, not from mode_matrix's floats, whose rounding the oracle would otherwise share.
+            values, vectors = mpmath.eig(mp_mode_matrix(p, wt.mu_star))
             j = min(range(3), key=lambda k: abs(values[k] - 1j * wt.sigma_star))
             x = [vectors[i, j] for i in range(3)]
             big = max(x, key=abs)  # normalized as X*: unit norm, largest component real and positive
@@ -559,15 +569,21 @@ class TestWaveTrain:
             resid = np.linalg.norm(A @ wt.eigvec - 1j * wt.sigma_star * wt.eigvec)
             assert resid <= 1e-8
 
-    @given(draws=st.lists(st.floats(math.log(1e-6), math.log(1e6)).map(math.exp), min_size=9, max_size=9))
+    @given(draws=st.lists(st.floats(math.log(1e-12), math.log(1e12)).map(math.exp), min_size=9, max_size=9))
+    @example(draws=ONE_ULP_GAP)
+    @example(draws=WIDE_RESIDUE)
     def test_threshold_mode_is_the_wave_train(self, draws):
-        names = ("alpha", "beta", "gamma", "delta", "epsilon", "eta", "zeta", "c", "d")
-        p = ModelParams(**dict(zip(names, draws)))
+        rates = dict(zip(NAMES, draws))
+        # Ordered as in test_eigenvector_matches_mpmath, or hypothesis filters most draws of this range.
+        rates["alpha"], rates["delta"] = max(draws[0], draws[3]), min(draws[0], draws[3])
+        p = ModelParams(**rates)
         assume(upsilon(p) < 0)
         wt = find_wavetrain(p)
         assert wt.mu_star == find_k0(p).mu_threshold
         fact = imaginary_root_factorization(dispersion_coefficients(p, wt.mu_star))
         assert (wt.sigma_star, wt.decay_eigenvalue) == (fact.sigma, fact.real_root)
+        A = mode_matrix(p, wt.mu_star)
+        assert np.linalg.norm(A @ wt.eigvec - 1j * wt.sigma_star * wt.eigvec) <= 1e-12 * np.linalg.norm(A)
 
 
 class TestModeAttraction:
@@ -577,6 +593,14 @@ class TestModeAttraction:
         # checks mu.
         with pytest.raises(ValidationError, match=f"^t must be finite, got {t}$"):
             mode_attraction(all_ones(c=1.0, d=1.0), 0.1, np.ones(3), t)
+
+    @pytest.mark.parametrize("theta0", [np.ones(4), np.ones((3, 3)), np.array([1.0, math.nan, 0.0])],
+                             ids=["4-vector", "3x3", "nan"])
+    def test_theta0_must_be_a_finite_vector_of_three(self, theta0):
+        # Unchecked, a 4-vector raises numpy's matmul ValueError, a 3x3 array returns a 3x3 matrix and a nan
+        # returns nan.
+        with pytest.raises(ValidationError, match=r"^theta0 must be a finite real or complex vector of shape \(3,\)"):
+            mode_attraction(all_ones(c=1.0, d=1.0), 0.1, theta0, 1.0)
 
     def test_matches_mpmath_expm(self):
         rng = np.random.default_rng(67)
