@@ -299,7 +299,11 @@ COMMANDS = {
 }
 
 def run(config: RunConfig) -> int:
-    for line in COMMANDS[config.command][0](config):
+    try:
+        lines = COMMANDS[config.command][0](config)
+    except OSError as exc:  # the output is the one file a command opens, so its path is an invalid option value
+        raise ValidationError(f"cannot write {config.output}: {exc.strerror or exc}") from None
+    for line in lines:
         sys.stdout.write(line + "\n")
     return 0
 

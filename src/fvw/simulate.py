@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import stat
 import sys
 import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from operator import is_not
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ _MAX_WORK = 10**10  # most PDE steps x grid points a run may take: 0.2-1 us each
 _RK4_CHECK_STEPS = 256  # rk4 steps between the march's finiteness checks: ~0.3 ms of stepping
 _CSV_BLOCK_ROWS = 4096  # rows `_write_csv` formats in one `%`: a tracemalloc peak of 0.28 MB a column, 1.4 MB for 5
 _MIN_RTOL = 100 * sys.float_info.epsilon  # scipy RK45's floor on rtol, kept so that rk45 runs match RK45's
+_FLOAT_CELLS = frozenset((float, np.float64))  # cell types `_fmt` formats as %.17g: a block of only these skips `_fmt`
 
 
 @dataclass(frozen=True)
@@ -77,22 +81,33 @@ def _fmt(x) -> str:
 
 def _block_lines(columns) -> str:
     """The CSV lines of one block of equal-length columns, formatted by one `%` of a line template repeated
-    once per row. A floating ndarray column is formatted as %.17g, as `_fmt` formats a float; every other
-    column's cells go through `_fmt`. The choice is made per column, never per value, so an int or a bool
-    among floats in a list keeps its own form."""
-    floating = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    cells = [c.tolist() if fl else list(map(_fmt, c)) for c, fl in zip(columns, floating)]
+    once per row. A floating ndarray column is formatted as %.17g, as `_fmt` formats a float, and so is every
+    column of a block whose cells are all floats; otherwise each cell of the other columns goes through `_fmt`.
+    The choice is made per column, never per value, so an int or a bool among floats in a list keeps its own
+    form."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c for c in columns]
+    floating = list(map(is_not, cells, columns))  # the floating ndarrays: the columns that `tolist` copied
+    values = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    if all(floating) or _FLOAT_CELLS.issuperset(map(type, values)):
+        floating = [True] * len(cells)
+    else:
+        values = tuple(chain.from_iterable(zip(*[c if fl else map(_fmt, c) for c, fl in zip(cells, floating)])))
     line = ",".join(["%.17g" if fl else "%s" for fl in floating]) + "\r\n"
-    return line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells, strict=True)))
+    return line * len(cells[0]) % values
 
 
 def _write_csv(path, header: Sequence[str], blocks) -> None:
     """The one CSV writer: a header line, then the lines of each of `blocks`, a sequence of equal-length columns
     that `_block_lines` formats _CSV_BLOCK_ROWS rows at a time. A table is one or more blocks; a table held as
     rows is passed as the one block `list(zip(*rows))`. No cell holds a comma, quote or line break, so the
-    lines are those of `csv.writer` (excel dialect) over the `_fmt` cells."""
-    with open(path, "w", newline="") as fh:
+    lines are those of `csv.writer` (excel dialect) over the `_fmt` cells. The file is overwritten in place and
+    cut after the header, so a failed write leaves a prefix of the new table: O_TRUNC would free the blocks of
+    a file rewritten at about its old size, which on ext4 costs several times the writes of a small table."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or a pipe, such as /dev/null, cannot be truncated
+            fh.truncate()
         for columns in blocks:
             for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
                 fh.write(_block_lines([c[i:i + _CSV_BLOCK_ROWS] for c in columns]))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import io
 import math
@@ -593,6 +594,21 @@ class TestValidationAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", errno.ENOENT),  # as --output /nonexistent/x.csv
+        (".", errno.EISDIR),  # as --output /tmp
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, where, reason):
+        # The output path is an option value: one that cannot be opened for writing exits 2 with one line.
+        out = tmp_path / where
+        assert main(["equilibria", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(reason)}\n"
+
+    def test_device_output(self, capsys):
+        # A device takes the table as it is written; only a regular file is cut to the new table's length.
+        assert main(["equilibria", "--output", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -648,3 +649,62 @@ class TestCsvWriter:
         assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
         assert path.read_bytes().splitlines()[1] == (b"nan,0.33333333333333331,0.3333333432674408,"
                                                      b"1152921504606846976,1152921504606846976,true")
+
+    def test_all_float_block_matches_the_csv_module(self, tmp_path):
+        # A block whose cells are all floats, Python or np.float64, is formatted as %.17g throughout; one bool
+        # among them sends every list column's cells through _fmt, and the bool keeps its own form.
+        path = tmp_path / "out.csv"
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+        columns = [
+            tuple(specials),
+            [np.float64(x) for x in reversed(specials)],
+            np.array([1 / 3, -0.0, math.nan, -math.inf, 1e-45, 3.4028234663852886e38, 0.1], np.float32),
+        ]
+        _write_csv(path, ["a", "b", "c"], [columns])
+        assert path.read_bytes() == csv_module_bytes(["a", "b", "c"], zip(*columns))
+        assert path.read_bytes().splitlines()[1] == b"nan,0.33333333333333331,0.3333333432674408"
+        columns[1][0] = True
+        _write_csv(path, ["a", "b", "c"], [columns])
+        assert path.read_bytes() == csv_module_bytes(["a", "b", "c"], zip(*columns))
+        assert path.read_bytes().splitlines()[1] == b"nan,true,0.3333333432674408"
+
+    def test_overwrite_matches_a_fresh_write(self, tmp_path):
+        # The writer overwrites in place and cuts the file after the header: a 3-row table written over a
+        # 201-row one leaves the bytes of a fresh write, with no tail of the old table.
+        path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        long, short = np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 3)
+        _write_csv(path, ["x", "y"], [(long, long * 3)])
+        _write_csv(path, ["x", "y"], [(short, short * 3)])
+        _write_csv(fresh, ["x", "y"], [(short, short * 3)])
+        assert path.read_bytes() == fresh.read_bytes() == csv_module_bytes(["x", "y"], zip(short, short * 3))
+
+    def test_failed_write_leaves_a_prefix_of_the_new_table(self, tmp_path):
+        # A blocks iterator that raises after its first block leaves the header and that block, and no row of
+        # the table the file held before.
+        path = tmp_path / "out.csv"
+        old = np.full(201, 7.0)
+        _write_csv(path, ["x"], [(old,)])
+
+        def blocks():
+            yield (np.array([1.0, 2.0]),)
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            _write_csv(path, ["x"], blocks())
+        assert path.read_bytes() == b"x\r\n1\r\n2\r\n"
+
+    def test_links_see_the_new_bytes(self, tmp_path):
+        # The file is written through a symlink and is the same inode afterwards, so a hard link sees the new
+        # table too.
+        target, symlink, hardlink = tmp_path / "target.csv", tmp_path / "sym.csv", tmp_path / "hard.csv"
+        _write_csv(target, ["x"], [(np.linspace(0.0, 1.0, 201),)])
+        symlink.symlink_to(target)
+        os.link(target, hardlink)
+        inode = os.stat(target).st_ino
+        _write_csv(symlink, ["x"], [(np.array([0.5]),)])
+        assert symlink.is_symlink() and os.stat(target).st_ino == inode
+        assert target.read_bytes() == hardlink.read_bytes() == symlink.read_bytes() == b"x\r\n0.5\r\n"
+
+    def test_device_output(self):
+        # A device is written without the cut, which ftruncate would refuse with EINVAL.
+        _write_csv(os.devnull, ["x"], [(np.linspace(0.0, 1.0, 5),)])
