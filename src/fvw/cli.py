@@ -45,6 +45,17 @@ class RunConfig:
                     stream.write(f"{name} = {_fmt(value)}\n")
 
 
+# The two file flags every subcommand takes before its parameters and options: name -> help.
+_FILE_FLAGS = {"config": "plain-text key=value config file", "output": "output CSV path"}
+
+
+@functools.cache
+def _value_flags(command: str) -> dict:
+    """Each option string of `command` that takes a value -> (dest, type), in the order its parser adds them."""
+    spec = {**dict.fromkeys(_FILE_FLAGS, (str, None)), **PARAMS, **COMMANDS[command][1]}
+    return {f"--{name.replace('_', '-')}": (name, typ) for name, (typ, _default) in spec.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser for every subcommand, built once per process: parsing leaves it unchanged."""
@@ -53,14 +64,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fire-vegetation-water reaction-diffusion model: analysis and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_handler, options) in COMMANDS.items():
+    for command in COMMANDS:
         p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="plain-text key=value config file")
-        p.add_argument("--output", default=None, help="output CSV path")
-        p.add_argument("--dump-config", action="store_true", help="print the resolved config and exit")
-        for name, (typ, _default) in {**PARAMS, **options}.items():
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None)
+        for flag, (dest, typ) in _value_flags(command).items():
+            p.add_argument(flag, dest=dest, type=typ, default=None, help=_FILE_FLAGS.get(dest))
+            if dest == "output":  # --dump-config follows the file flags, in usage and help alike
+                p.add_argument("--dump-config", action="store_true", help="print the resolved config and exit")
     return parser
+
+
+def _parse_flags(argv: list) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` returns, read in one pass when argv is a command and then
+    `--name value` pairs: each name one of the command's option strings exactly, each value a str that does not
+    start with "-" and that the option's type converts. None for any other argv, which argparse reads instead."""
+    if len(argv) % 2 == 0 or not isinstance(argv[0], str) or argv[0] not in COMMANDS:
+        return None
+    table = _value_flags(argv[0])
+    args = {"command": argv[0], "dump_config": False, **dict.fromkeys(dest for dest, _typ in table.values())}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if not (isinstance(flag, str) and flag in table and isinstance(value, str)) or value.startswith("-"):
+            return None
+        dest, typ = table[flag]
+        try:
+            args[dest] = typ(value)
+        except (TypeError, ValueError):
+            return None
+    return argparse.Namespace(**args)
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -71,7 +100,7 @@ def _load_config_file(path: str, command: str) -> dict:
             raise ValidationError(f"config file not readable: {path}")
         file_command = cp.get("run", "command", fallback=command)
         sections = {s: dict(cp.items(s)) for s in ("params", "options") if cp.has_section(s)}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config file {path}: {exc}") from None
     if file_command != command:
         raise ValidationError(f"config file is for command {file_command!r}, not {command!r}")
@@ -318,8 +347,8 @@ def _show_warning(show, message, category, filename, lineno, file=None, line=Non
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_flags(argv) or build_parser().parse_args(argv)
     show = warnings.showwarning
     warnings.showwarning = functools.partial(_show_warning, show)
     try:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fvw import CFLWarning, ModelParams, all_ones, phi_cubic
-from fvw.cli import _KERNELS, COMMANDS, PARAMS, build_parser, main, resolve_config
+from fvw.cli import _KERNELS, COMMANDS, PARAMS, _parse_flags, build_parser, main, resolve_config
 
 from conftest import mp_mode_matrix
 
@@ -705,13 +705,16 @@ class TestValidationAndDeterminism:
             ("[params]\nalpha = abc\n", "config value alpha = 'abc' is not a valid float"),
             ("[options]\nsamples = 1.5\n", "config value samples = '1.5' is not a valid int"),
             (None, "config file not readable"),  # no file at the path
+            (b"\xff\xfe[params]\nalpha = 2\n", "malformed config file"),  # not valid UTF-8
         ],
         ids=["no-section-header", "unknown-option", "unknown-parameter", "bad-interpolation",
-             "non-float-parameter", "non-int-option", "missing-file"],
+             "non-float-parameter", "non-int-option", "missing-file", "non-utf-8"],
     )
     def test_bad_config_file_exit_code(self, tmp_path, capsys, text, message):
         cfg_path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
-        if text is not None:
+        if isinstance(text, bytes):
+            cfg_path.write_bytes(text)
+        elif text is not None:
             cfg_path.write_text(text)
         assert main(["dispersion", "--config", str(cfg_path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
@@ -794,3 +797,78 @@ class TestValidationAndDeterminism:
         )
         assert cfg.params.alpha == 7.0
         assert cfg.options["samples"] == 5
+
+
+# The option strings of a command that take a value, as build_parser names them; the grammar's other tokens are
+# argparse's other forms (a store_true flag, help, an abbreviation, --name=value, the end of options, an unknown
+# flag), and values it reads apart from the table pass or that a type rejects.
+def value_flags(command):
+    return [f"--{name.replace('_', '-')}" for name in ("config", "output", *PARAMS, *COMMANDS[command][1])]
+
+
+OTHER_TOKENS = ["--dump-config", "-h", "--alp", "--alpha=2", "--", "--bogus"]
+VALUE_TOKENS = ["", "nan", "inf", "-inf", "-1", "-1e-5", " 2 ", "1_000", "0x10", "1e400", "abc", "2", "rk4"]
+
+
+class TestFlagParsing:
+    def test_table_pass_needs_no_parser(self, tmp_path, monkeypatch):
+        # `--name value` argvs of all nine commands are read without argparse and write the pinned CSVs.
+        def no_parser():
+            raise AssertionError("argparse was used")
+
+        monkeypatch.setattr("fvw.cli.build_parser", no_parser)
+        out = tmp_path / "out.csv"
+        for argv, digest in CSV_DIGESTS:
+            assert main([*argv, "--output", str(out)]) == 0, argv
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+    @pytest.mark.parametrize("argv, full, config", [
+        (["stability", "--alp", "2"], ["stability", "--alpha", "2"], None),
+        (["stability", "--alpha=2"], ["stability", "--alpha", "2"], None),
+        (["stability", "--alp=2", "--epsilon", "0.1"], ["stability", "--alpha", "2", "--epsilon", "0.1"], None),
+        # No `--name value` pair holds a value that starts with "-": the config file holds it instead.
+        (["simulate-ode", "--f0", "-0.5", "--t-final", "1"], ["simulate-ode", "--t-final", "1"], "f0 = -0.5"),
+    ], ids=["abbreviation", "equals", "mixed", "negative-value"])
+    def test_argparse_forms_write_the_same_csv(self, tmp_path, argv, full, config):
+        # Each argv goes to argparse and must write what the table pass writes for the same values.
+        slow, fast = tmp_path / "slow.csv", tmp_path / "fast.csv"
+        if config is not None:
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(f"[options]\n{config}\n")
+            full = [*full, "--config", str(cfg_path)]
+        assert _parse_flags(argv) is None and _parse_flags(full) is not None
+        assert main([*argv, "--output", str(slow)]) == 0
+        assert main([*full, "--output", str(fast)]) == 0
+        assert slow.read_bytes() == fast.read_bytes()
+
+    def test_dump_config_matches_the_table_pass(self):
+        argv = ["simulate-ode", "--alpha", "2", "--method", "rk45"]
+        with redirect_stdout(io.StringIO()) as dumped:
+            assert main([*argv, "--dump-config"]) == 0
+        expected = io.StringIO()
+        resolve_config(_parse_flags(argv)).dump(expected)
+        assert dumped.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stability", "-h"], 0),
+        (["stability", "--alpha"], 2),
+        ([], 2),
+    ], ids=["help", "missing-value", "no-command"])
+    def test_argparse_exits(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).startswith("usage: fvw")
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(list(COMMANDS)), data=st.data())
+    def test_table_pass_matches_argparse(self, command, data):
+        # Whenever the table pass reads an argv, argparse reads it without an error into the same Namespace;
+        # repr compares a nan value as equal to itself.
+        flag, value = st.sampled_from(value_flags(command) + OTHER_TOKENS), st.sampled_from(VALUE_TOKENS)
+        pairs = st.lists(st.tuples(flag, value), max_size=6).map(lambda pairs: [arg for pair in pairs for arg in pair])
+        argv = [command, *data.draw(pairs | st.lists(flag | value, max_size=12), label="tokens")]
+        fast = _parse_flags(argv)
+        if fast is not None:
+            assert repr(sorted(vars(fast).items())) == repr(sorted(vars(build_parser().parse_args(argv)).items()))
