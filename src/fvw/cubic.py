@@ -48,8 +48,9 @@ class Classification(enum.Enum):
 
 
 def _band(x: float, y: float = 0.0) -> float:
-    """The relative tolerance 1e-9 (1 + |x| + |y|), summed left to right, of every near-zero test."""
-    return 1e-9 * (1.0 + abs(x) + abs(y))
+    """The relative tolerance 1e-9 (|x| + |y|) of every test of a quantity formed with cancellation, such as x - y:
+    with no absolute floor, a change of units by a power of two moves the band with the quantity, bit for bit."""
+    return 1e-9 * (abs(x) + abs(y))
 
 
 def _gap(p: MonicCubic) -> float:

@@ -22,7 +22,6 @@ from .errors import CFLWarning, NumericalFailure, ValidationError
 from .model import ModelParams, State, _reaction, coexistence_state
 from .model import reaction_rhs  # noqa: F401  (kept as fvw.simulate.reaction_rhs; the benchmark tracer patches it)
 
-NEGATIVITY_TOL = -1e-9
 _MAX_ROWS = 10**7  # most rows a run may hold (ODE rows, PDE grid points or snapshot cells, samples): ~300 B each
 _MAX_WORK = 10**10  # most PDE steps x grid points a run may take: 0.2-1 us each, so hours at the cap
 _RK4_CHECK_STEPS = 256  # rk4 steps between the march's finiteness checks: ~0.3 ms of stepping
@@ -271,7 +270,7 @@ def integrate_ode(s0: State, p: ModelParams, cfg: IntegratorConfig) -> Trajector
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise NumericalFailure(f"state became non-finite at t={times[finite.argmin()]:.17g}")
-    return Trajectory(times, states, negativity_flag=bool(states.min() < NEGATIVITY_TOL))
+    return Trajectory(times, states, negativity_flag=bool(states.min() < 0.0))
 
 
 @dataclass(frozen=True)

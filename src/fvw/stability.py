@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .cubic import (
-    Classification, MonicCubic, RootSet, _band, _gap_verdict, _solve_cubics, imaginary_root_factorization, solve_cubic,
+    Classification, MonicCubic, RootSet, _band, _gap, _gap_verdict, _solve_cubics, imaginary_root_factorization,
+    solve_cubic,
 )
 from .errors import NumericalFailure, ValidationError
 from .model import ModelParams, _coexistence, _product_over, coexistence_state, jacobian
@@ -51,19 +52,20 @@ class PhiCubic(NamedTuple):
         return (1.5 * (self.b3 * mu) + self.b2) * (2.0 * mu) + self.b1  # 3 b3 or 2 b2 alone may overflow
 
 
-def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, PhiCubic]:
+def _coexistence_terms(p: ModelParams) -> tuple[float, float, float, float, float, float, PhiCubic, float]:
     """The one record of what the linear theory derives from E1: (f*, v*, w*, s = delta v* + epsilon, alpha eta f* v*,
-    delta zeta v* w*, Phi), where Phi's b0 = delta zeta v* w* Upsilon carries none of the cancellation of a1 a2 - a0."""
+    delta zeta v* w*, Phi, Upsilon), where Phi's b0 = delta zeta v* w* Upsilon carries none of the cancellation of
+    a1 a2 - a0."""
     f, v, w, ups = _coexistence(p)
     s, fire_veg, veg_water = p.delta * v + p.epsilon, p.alpha * p.eta * f * v, p.delta * p.zeta * v * w
     phi = PhiCubic(p.c * p.d * (p.c + p.d), p.c * (p.c + 2.0 * p.d) * s,
                    p.c * s * s + p.d * veg_water + p.c * fire_veg, veg_water * ups)
-    return f, v, w, s, fire_veg, veg_water, phi
+    return f, v, w, s, fire_veg, veg_water, phi, ups
 
 
 def _mode_cubic(p: ModelParams, terms: tuple, mu: float) -> MonicCubic:
     """The mode cubic of A(mu) from `_coexistence_terms(p)`, for a float mu or elementwise for an array."""
-    f, v, w, s, fire_veg, veg_water, _ = terms
+    f, v, w, s, fire_veg, veg_water, *_ = terms
     c_mu, s_d_mu = p.c * mu, s + p.d * mu
     return MonicCubic((p.c + p.d) * mu + s, c_mu * s_d_mu + fire_veg + veg_water,
                       c_mu * veg_water + fire_veg * s_d_mu + p.beta * p.delta * p.eta * f * v * w)
@@ -85,7 +87,8 @@ def _finite(what: str, coeffs: tuple) -> tuple:
 
 def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     """Stability verdict for "E0" (trivial, always unstable) or "E1" (coexistence). E0's verdict derives no E1,
-    and E1's derives it once; E1's Upsilon is `upsilon(p)`."""
+    and E1's derives it once. E1's is the sign of its Upsilon, `upsilon(p)`, NEUTRAL where that is 0.0: the mode
+    cubic's coefficients are positive, and its Routh-Hurwitz gap is delta zeta v* w* Upsilon."""
     if which == "E0":
         eigs = sorted(
             (-_product_over(p.beta, p.gamma, p.epsilon), _product_over(p.gamma, p.zeta, p.epsilon), -p.epsilon)
@@ -96,8 +99,9 @@ def classify_equilibrium(which: str, p: ModelParams) -> StabilityVerdict:
     if which != "E1":
         raise ValidationError(f"unknown equilibrium {which!r}, expected 'E0' or 'E1'")
     terms = _coexistence_terms(p)
-    poly = _finite("the mode cubic", _mode_cubic(p, terms, 0.0))
-    return StabilityVerdict(_gap_verdict(poly, terms[6].b0), solve_cubic(poly))
+    poly, ups = _finite("the mode cubic", _mode_cubic(p, terms, 0.0)), terms[7]
+    verdict = Classification.STABLE if ups > 0.0 else Classification.UNSTABLE if ups < 0.0 else Classification.NEUTRAL
+    return StabilityVerdict(verdict, solve_cubic(poly))
 
 
 def mode_matrix(p: ModelParams, mu: float) -> np.ndarray:
@@ -286,7 +290,8 @@ class CompetitionSpectrum:
 
 def competition_instability(p: ModelParams, mu: float, varsigma: float) -> CompetitionSpectrum:
     """Spectrum of the competition matrix L(mu, varsigma); for small rainfall
-    gamma and small mu a real eigenvalue near varsigma > 0 drives instability."""
+    gamma and small mu a real eigenvalue near varsigma > 0 drives instability. The spectrum is unstable by
+    Routh-Hurwitz: where a2 or a0 of its cubic Q is negative, or `_gap_verdict` calls Q's gap UNSTABLE."""
     _check_competition(p, mu, varsigma)
     terms = _coexistence_terms(p)
     base, s = _mode_cubic(p, terms, mu), terms[3]
@@ -301,6 +306,6 @@ def competition_instability(p: ModelParams, mu: float, varsigma: float) -> Compe
     return CompetitionSpectrum(
         q_coeffs=q,
         eigenvalues=eigs,
-        unstable=eigs.max_real_part() > _band(max(abs(a) for a in q)),
+        unstable=min(q.a2, q.a0) < 0.0 or _gap_verdict(q, _gap(q)) is Classification.UNSTABLE,
         continuation_root=continuation,
     )

@@ -185,6 +185,48 @@ class TestDispersionCommand:
         assert not [r for r in rows if r[stable] == "true" and float(r[max_re]) > 0.0]
 
 
+# The unstable example's rates (alpha = 2, epsilon = 0.1, unit rest) with time measured in units 1000 times longer.
+SLOW_RATES = ["--alpha", "2e-3", "--beta", "1e-3", "--gamma", "1e-3", "--delta", "1e-3", "--epsilon", "1e-4",
+              "--eta", "1e-3", "--zeta", "1e-3"]
+
+
+class TestVerdictsBySign:
+    """Each verdict is a sign, so none depends on the unit of time or on a magnitude past the float range."""
+
+    def test_e1_verdict_in_slower_units(self, tmp_path, capsys):
+        assert main(["stability", *SLOW_RATES, "--output", str(tmp_path / "s.csv")]) == 0
+        assert "E1: unstable (Upsilon=-0.00055887234393789116)" in capsys.readouterr().out.splitlines()
+
+    def test_dispersion_verdict_in_slower_units(self, tmp_path):
+        # mu* = 0.1374..., as in the example's own units: the rows past it decay, at -6.5e-6 and -3.2e-5.
+        out = tmp_path / "d.csv"
+        argv = ["dispersion", *SLOW_RATES, "--c", "1e-3", "--d", "1e-3", "--mu-min", "0", "--mu-max", "0.2"]
+        assert main([*argv, "--samples", "5", "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        stable, max_re = header.index("stable"), header.index("max_re_eig")
+        assert [row[stable] for row in rows] == ["false", "false", "false", "true", "true"]
+        assert [float(row[max_re]) < 0.0 for row in rows] == [False, False, False, True, True]
+
+    def test_competition_verdict_at_large_mu(self, tmp_path, capsys):
+        # a0 < 0: Q has a real root near varsigma = 0.5 beside two near -1e5.
+        out = tmp_path / "c.csv"
+        argv = ["competition", "--mu", "1e5", "--varsigma", "0.5", "--gamma", "0.01", "--c", "1", "--d", "1"]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("unstable=true ")
+        header, rows = read_csv(out)
+        assert rows[0][header.index("unstable")] == "true" and float(rows[0][header.index("a0")]) < 0.0
+
+    def test_e1_verdict_where_phi_overflows(self, tmp_path, capsys):
+        # Upsilon = 9.68e129, while Phi's b0 = delta zeta v* w* Upsilon and the gap's band both overflow to inf.
+        argv = ["stability", "--alpha", "1.82e-121", "--beta", "1.1e-54", "--gamma", "9.93e112", "--delta", "1.56e80",
+                "--epsilon", "8.39e-58", "--eta", "3.51e50", "--zeta", "1.59e88"]
+        out = tmp_path / "s.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert "E1: stable (Upsilon=9.676038150282079e+129)" in capsys.readouterr().out.splitlines()
+        header, rows = read_csv(out)
+        assert max(float(rows[1][header.index(f"eig{i}_re")]) for i in (1, 2, 3)) < 0.0
+
+
 class TestSweepCommand:
     def test_alpha_sweep_single_crossing(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -405,7 +447,7 @@ class TestExtremeMagnitudes:
                 assert err.startswith("error: ") and "Traceback" not in err, argv
 
     def test_stability_does_not_read_diffusion(self, tmp_path):
-        # The E1 verdict is Phi(0) = phi_cubic(p).b0, which holds no c or d.
+        # The E1 verdict is the sign of Upsilon, which holds no c or d.
         base, wide = tmp_path / "base.csv", tmp_path / "wide.csv"
         assert main(["stability", "--output", str(base)]) == 0
         assert main(["stability", "--c", "1e200", "--d", "1e200", "--output", str(wide)]) == 0

@@ -247,10 +247,11 @@ class TestIntegrateOde:
         assert np.allclose(fixed.final_state(), adaptive.final_state(), atol=1e-7)
 
     def test_negativity_flag(self, ones):
-        traj = integrate_ode(
-            State(0.5, -0.5, 0.5), ones, IntegratorConfig(method="rk4", dt=0.01, t_final=1.0)
-        )
-        assert traj.negativity_flag is True
+        # The flag reads the sign alone: v = -1e-10 stays negative, and in units 2^40 larger it would be -0.1.
+        for s0 in (State(0.5, -0.5, 0.5), State(0.5, -1e-10, 0.5)):
+            traj = integrate_ode(s0, ones, IntegratorConfig(method="rk4", dt=0.01, t_final=1.0))
+            assert traj.states[:, 1].max() < 0.0
+            assert traj.negativity_flag is True
 
     def test_nonnegativity_preserved_in_positive_octant(self, ones):
         rng = np.random.default_rng(71)

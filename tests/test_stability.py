@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from fractions import Fraction
 import pickle
 import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fvw import (
@@ -768,3 +769,79 @@ class TestCoexistenceRecord:
         monkeypatch.setattr(fvw_stability, "_coexistence", counted)
         call(unstable_diffusive_params)
         assert len(calls) == derivations
+
+
+def exact_upsilon_sign(p: ModelParams) -> int:
+    """Oracle: the sign of Upsilon from the rates in exact rational arithmetic. Upsilon < 0 iff X = 2 beta gamma
+    (alpha - delta) - alpha eps^2 exceeds eps sqrt(R), R = alpha^2 eps^2 + 4 alpha beta delta gamma."""
+    al, be, ga, de, ep = map(Fraction, (p.alpha, p.beta, p.gamma, p.delta, p.epsilon))
+    x = 2 * be * ga * (al - de) - al * ep * ep
+    y = ep * ep * (al * al * ep * ep + 4 * al * be * de * ga)  # (eps sqrt(R))^2
+    return 1 if x <= 0 or x * x < y else -1 if x * x > y else 0
+
+
+def max_real_eigenvalue(A: np.ndarray) -> float:
+    """Oracle: LAPACK's largest real part of A's eigenvalues, or nan where it lies within 1e-6 ||A|| of zero."""
+    m = float(np.linalg.eigvals(A).real.max())
+    return m if abs(m) > 1e-6 * np.linalg.norm(A) else math.nan
+
+
+class TestVerdictsBySign:
+    """Each stability verdict is a sign, with a band relative to the quantity's own size and no absolute floor."""
+
+    # A change of units by powers of two: time by 2^-kt, f, v and w by 2^-ka, 2^-kb and 2^-kc, and mu by 2^kx.
+    # Upsilon is a rate, and each coefficient and band scales exactly with it, so every verdict is unchanged.
+    @given(draws=st.lists(st.floats(math.log(1e-2), math.log(1e2)).map(math.exp), min_size=11, max_size=11),
+           ks=st.lists(st.integers(-30, 30), min_size=5, max_size=5), fraction=st.floats(0.01, 0.99))
+    def test_a_change_of_units_keeps_every_verdict(self, draws, ks, fraction):
+        kt, ka, kb, kc, kx = ks
+        p = ModelParams(*draws[:9])
+        shifts = (kt + kb, kt + kc, kt - kc, kt + kb, kt, kt + ka, kt + kc, kt - kx, kt - kx)
+        q = ModelParams(*map(math.ldexp, draws[:9], shifts))
+        assert upsilon(q) == math.ldexp(upsilon(p), kt)
+        assert classify_equilibrium("E1", q).classification is classify_equilibrium("E1", p).classification
+        mus = draws[9:]
+        assert ([s.stable for s in dispersion_curve(q, [math.ldexp(mu, kx) for mu in mus])]
+                == [s.stable for s in dispersion_curve(p, mus)])
+        varsigma = fraction * p.epsilon
+        for mu in mus:
+            assert (competition_instability(q, math.ldexp(mu, kx), math.ldexp(varsigma, kt)).unstable
+                    is competition_instability(p, mu, varsigma).unstable)
+        if upsilon(p) < 0.0:
+            # Newton's start takes a square and a cube root, which do not commute with the scaling bit for bit.
+            wp, wq = find_wavetrain(p), find_wavetrain(q)
+            images = (math.ldexp(wp.mu_star, kx), math.ldexp(wp.sigma_star, kt))
+            for got, want in zip((wq.mu_star, wq.sigma_star), images):
+                assert abs(got - want) <= 2 * math.ulp(want)
+
+    @given(rates=st.lists(st.floats(math.log(1e-40), math.log(1e40)).map(math.exp), min_size=7, max_size=7))
+    def test_e1_verdict_is_the_exact_sign_of_upsilon(self, rates):
+        p = ModelParams(*rates)
+        try:
+            verdict = classify_equilibrium("E1", p).classification
+        except NumericalFailure:  # E1 or its mode cubic leaves the float range
+            return
+        if verdict is Classification.NEUTRAL:  # only where Upsilon underflows to 0.0
+            assert fvw_model._coexistence(p)[3] == 0.0
+        else:
+            assert verdict is {1: Classification.STABLE, -1: Classification.UNSTABLE}[exact_upsilon_sign(p)]
+
+    # Phi(mu) = 1.8e-10 beside a1 a2 = 5.1e-8: a band with an absolute floor of 1e-9 read a decaying mode as marginal.
+    @settings(max_examples=100)
+    @given(draws=st.lists(LOG_UNIFORM, min_size=12, max_size=12))
+    @example(draws=[0.09336091079886964, 0.0002285208319847181, 2.5279738574083187e-06, 0.00033660274119561235,
+                    0.002389878516306491, 23.096394661033052, 82437.58905334871, 0.00031427344879238195,
+                    2.227815206747674e-06, 1823.0666103058454, 2.269324939257221e-05, 0.025027236648552807])
+    def test_dispersion_verdict_matches_eigenvalues(self, draws):
+        p = ModelParams(*draws[:9])
+        for sample in dispersion_curve(p, draws[9:]):
+            m = max_real_eigenvalue(mode_matrix(p, sample.mu))
+            assert math.isnan(m) or sample.stable is (m < 0.0)
+
+    @settings(max_examples=100)
+    @given(draws=st.lists(LOG_UNIFORM, min_size=12, max_size=12), fraction=st.floats(0.01, 0.99))
+    def test_competition_verdict_matches_eigenvalues(self, draws, fraction):
+        p, varsigma = ModelParams(*draws[:9]), fraction * draws[4]
+        for mu in draws[9:]:
+            m = max_real_eigenvalue(competition_matrix(p, mu, varsigma))
+            assert math.isnan(m) or competition_instability(p, mu, varsigma).unstable is (m > 0.0)
