@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -48,6 +49,10 @@ class RunConfig:
 # The two file flags every subcommand takes before its parameters and options: name -> help.
 _FILE_FLAGS = {"config": "plain-text key=value config file", "output": "output CSV path"}
 
+# A token argparse reads as a value, not as a flag: its own negative numbers (-1, -.5, -1.5), with or without an
+# exponent, and -inf. argparse's pattern has no exponent, so `--v0 -1e-10` would miss its value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
 
 @functools.cache
 def _value_flags(command: str) -> dict:
@@ -66,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         p = sub.add_parser(command)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag, (dest, typ) in _value_flags(command).items():
             p.add_argument(flag, dest=dest, type=typ, default=None, help=_FILE_FLAGS.get(dest))
             if dest == "output":  # --dump-config follows the file flags, in usage and help alike

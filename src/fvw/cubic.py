@@ -66,6 +66,11 @@ def _gap_verdict(p: MonicCubic, gap: float) -> Classification:
     return Classification.STABLE if gap > 0.0 else Classification.UNSTABLE
 
 
+# Where 2^-161 <= |a2| < 2^160, |a1| < 2^320 and |a0| < 2^480, solve_cubic's scaling exponent e has |e| <= 160,
+# so it takes e = 0: both solvers skip the scaling there.
+_UNSCALED = (2.0**-161, 2.0**160, 2.0**320, 2.0**480)
+
+
 def _newton_polish(p: MonicCubic, t: float) -> float:
     """Up to two Newton steps, each kept only if |p(t)| does not grow: near a double
     root p and p' are rounding noise and a step can leave the root altogether."""
@@ -95,11 +100,15 @@ def solve_cubic(p: MonicCubic) -> RootSet:
     if not all(math.isfinite(a) for a in p):
         raise ValidationError("cubic coefficients must be finite")
     a2, a1, a0 = p
-    # e: binary exponent of the root-size bound max(|a2|, |a1|^(1/2), |a0|^(1/3)); q^3 and r^2
-    # scale as 2^(6e), which stays inside the float range for |e| <= 160.
-    e = max((-(-math.frexp(a)[1] // k) for k, a in enumerate(p, 1) if a != 0.0), default=0)
-    e = e if abs(e) > 160 else 0
-    scaled = MonicCubic(math.ldexp(a2, -e), math.ldexp(a1, -2 * e), math.ldexp(a0, -3 * e))
+    lo, hi2, hi1, hi0 = _UNSCALED
+    if lo <= abs(a2) < hi2 and abs(a1) < hi1 and abs(a0) < hi0:
+        e, scaled = 0, p
+    else:
+        # e: binary exponent of the root-size bound max(|a2|, |a1|^(1/2), |a0|^(1/3)); q^3 and r^2
+        # scale as 2^(6e), which stays inside the float range for |e| <= 160.
+        e = max((-(-math.frexp(a)[1] // k) for k, a in enumerate(p, 1) if a != 0.0), default=0)
+        e = e if abs(e) > 160 else 0
+        scaled = MonicCubic(math.ldexp(a2, -e), math.ldexp(a1, -2 * e), math.ldexp(a0, -3 * e))
     b2, b1, b0 = scaled
     shift = b2 / 3.0
     # Depressed cubic s^3 + q*s + r with t / 2^e = s - shift.
@@ -138,8 +147,8 @@ def solve_cubic(p: MonicCubic) -> RootSet:
 
 
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn (a `math` function or `pow`) of each element, as `solve_cubic` computes it: numpy's
-    SIMD arccos and power differ from libm in the last bit for some arguments."""
+    """fn (a `math` function) of each element, as `solve_cubic` computes it; `math.pow` calls the C pow that `**`
+    calls. numpy's SIMD arccos and power differ from libm in the last bit for some arguments."""
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
@@ -149,38 +158,44 @@ _TWO_PI_K = np.array([[2.0 * math.pi * k] for k in range(3)])
 
 def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSet]:
     """`solve_cubic` of each row (a2[i], a1[i], a0[i]) of finite coefficients, in one array pass that takes the same
-    steps in the same order, power-of-two scaling included, and so gives the same bits. libm runs once for q^3 and
-    b2^3 together and once for all three trigonometric candidates of every row that takes them."""
+    steps in the same order, power-of-two scaling included where some row needs it, and so gives the same bits. libm
+    runs once for q^3 and b2^3 together and once for all three trigonometric candidates of every row that takes them."""
     with np.errstate(all="ignore"):  # steps of rows that do not take them are computed and discarded
-        # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients.
-        coeffs = np.array((a2, a1, a0))
-        nonzero = coeffs != 0.0
-        e = np.where(nonzero, -(-np.frexp(coeffs)[1] // _POWER), -(2**31)).max(axis=0)
-        e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
-        p = MonicCubic(*np.ldexp(coeffs, -_POWER * e))
+        lo, *hi = _UNSCALED
+        size = np.abs((a2, a1, a0))
+        unscaled = size[0].min(initial=lo) >= lo and (size.T < hi).all()
+        if unscaled:
+            p = MonicCubic(a2, a1, a0)
+        else:
+            # e as solve_cubic takes it: the largest ceil(exponent / k) over the nonzero coefficients.
+            coeffs = np.array((a2, a1, a0))
+            nonzero = coeffs != 0.0
+            e = np.where(nonzero, -(-np.frexp(coeffs)[1] // _POWER), -(2**31)).max(axis=0)
+            e = np.where(nonzero.any(axis=0) & (np.abs(e) > 160), e, 0)
+            p = MonicCubic(*np.ldexp(coeffs, -_POWER * e))
         b2, b1, b0 = p
         shift = b2 / 3.0
         q = b1 - b2 * b2 / 3.0
-        q3, b2_3 = _libm(pow, np.array((q, b2)), 3)
+        q3, b2_3 = _libm(math.pow, np.array((q, b2)), 3.0)
         r = 2.0 * b2_3 / 27.0 - b2 * b1 / 3.0 + b0
         t = np.empty_like(q)
-        trig = -4.0 * q3 - 27.0 * r * r >= 0.0
-        if trig.any():
+        three_real = -4.0 * q3 - 27.0 * r * r >= 0.0
+        trig, card = three_real.nonzero()[0], (~three_real).nonzero()[0]
+        if len(trig):
             # Three real roots: the trigonometric candidate largest in magnitude, the first of equals.
             qt, rt, st = q[trig], r[trig], shift[trig]
             m = 2.0 * np.sqrt(np.where(0.0 > -qt / 3.0, 0.0, -qt / 3.0))
             arg = np.minimum(np.maximum(np.where(qt * m != 0.0, 3.0 * rt / (qt * m), 0.0), -1.0), 1.0)
             cand = m * _libm(math.cos, (_libm(math.acos, arg) - _TWO_PI_K) / 3.0) - st
             t[trig] = cand[np.abs(cand).argmax(axis=0), np.arange(len(st))]
-        card = ~trig
-        if card.any():
+        if len(card):
             # One real root: stable Cardano.
             qc, rc = q[card], r[card]
             half_r = rc / 2.0
             radicand = rc * rc / 4.0 + q3[card] / 27.0
             root_term = np.sqrt(np.where(0.0 > radicand, 0.0, radicand))
             u = np.where(half_r <= 0, -half_r + root_term, -half_r - root_term)
-            u = np.copysign(_libm(pow, np.abs(u), 1.0 / 3.0), u)
+            u = np.copysign(_libm(math.pow, np.abs(u), 1.0 / 3.0), u)
             t[card] = u + np.where(u != 0.0, -qc / 3.0 / u, 0.0) - shift[card]
         # Newton polish, scaled: a step is kept where |p| does not grow, never where p' = 0; a rejected one recurs.
         pt = p(t)
@@ -188,22 +203,27 @@ def _solve_cubics(a2: np.ndarray, a1: np.ndarray, a0: np.ndarray) -> list[RootSe
             t_next = t - pt / ((3.0 * t + 2.0 * b2) * t + b1)  # p.derivative(t), inline
             p_next = p(t_next)
             keep = np.abs(p_next) <= np.abs(pt)
-            t, pt = np.where(keep, t_next, t), np.where(keep, p_next, pt)
-        t = np.ldexp(t, e)
+            np.copyto(t, t_next, where=keep)
+            np.copyto(pt, p_next, where=keep)
+        if not unscaled:
+            t = np.ldexp(t, e)
         # The pair from the Vieta end of the original coefficients that does not cancel, as in solve_cubic.
         c = a1 + t * (a2 + t)
-        small = t * t < 2.0**-52 * np.abs(c)
-        t = np.where(small, -a0 / c, t)
-        c = np.where(small, c, np.where(t != 0.0, -a0 / t, a1))
+        small = (t * t < 2.0**-52 * np.abs(c)).nonzero()[0]
+        c_pair = np.where(t != 0.0, -a0 / t, a1)
+        if len(small):  # a real root far below the pair: t from a0 / c, and c kept
+            t[small] = -a0[small] / c[small]
+            c_pair[small] = c[small]
+        c = c_pair
         h = np.where(t * t > np.abs(c), (a1 - c) / t, -a2 - t) / 2.0
         hh = h * h
-        real = hh >= c
-        x = h + np.copysign(np.sqrt(hh - c), h)
-        y = np.sqrt(c - hh)
-        z = np.zeros((len(t), 3), dtype=complex)  # set part by part: h + 1j * y would turn h = -0.0 into 0.0
+        s = np.sqrt(np.abs(hh - c))  # sqrt(hh - c) where the pair is real, else sqrt(c - hh): a - b = -(b - a) exactly
+        z = np.empty((len(t), 3), dtype=complex)  # set part by part: h + 1j * s would turn h = -0.0 into 0.0
         zr, zi = z.real, z.imag
-        zr[:, 0], zr[:, 1], zr[:, 2] = t, np.where(real, x, h), np.where(real, np.where(x != 0.0, c / x, 0.0), h)
-        zi[:, 1], zi[:, 2] = np.where(real, 0.0, -y), np.where(real, 0.0, y)
+        zr[:, 0], zr[:, 1], zr[:, 2], zi[:, 0], zi[:, 1], zi[:, 2] = t, h, h, 0.0, -s, s
+        real = (hh >= c).nonzero()[0]
+        x = h[real] + np.copysign(s[real], h[real])
+        zr[real, 1], zr[real, 2], zi[real, 1:] = x, np.where(x != 0.0, c[real] / x, 0.0), 0.0
     # numpy orders complex values by (real, imaginary), the key solve_cubic sorts by; stable keeps ties.
     roots = zip(*np.sort(z, axis=1, kind="stable").T.tolist())
     return list(map(tuple.__new__, repeat(RootSet), zip(roots)))

@@ -148,9 +148,8 @@ def dispersion_curve(p: ModelParams, mu_grid: Sequence[float]) -> list[Dispersio
         a2, a1, a0 = _mode_cubic(p, terms, mu)
         gap = phi(mu)
         stable = gap > _band(a1 * a2, a0)  # a1 * a2 may overflow to inf: then the sample is marginal
-    finite = np.isfinite((gap, a2, a1, a0)).all(axis=0)
-    if not finite.all():  # raise what the first such sample raises on its own
-        i = int(np.argmin(finite))
+    if not np.isfinite((gap, a2, a1, a0)).all():  # raise what the first such sample raises on its own
+        i = int(np.argmin(np.isfinite((gap, a2, a1, a0)).all(axis=0)))
         _finite("Phi(mu)", phi)
         if not math.isfinite(gap[i]):  # the coefficients are finite, Phi at this mu is not
             raise NumericalFailure(f"Phi(mu) is not finite: its value {gap[i]} at mu = {float(mu[i])!r} "

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import numpy as np
@@ -850,6 +850,17 @@ def value_flags(command):
 
 OTHER_TOKENS = ["--dump-config", "-h", "--alp", "--alpha=2", "--", "--bogus"]
 VALUE_TOKENS = ["", "nan", "inf", "-inf", "-1", "-1e-5", " 2 ", "1_000", "0x10", "1e400", "abc", "2", "rk4"]
+NEGATIVE_EXPONENT_FORMS = st.from_regex(r"-([0-9]{1,3}|[0-9]{0,2}\.[0-9]{1,2})[eE][-+]?[0-9]{1,3}", fullmatch=True)
+
+
+def parsed_by_argparse(argv):
+    """argparse's Namespace for argv, as a sorted repr, or its exit code and the last line of its message."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            return repr(sorted(vars(build_parser().parse_args(argv)).items()))
+        except SystemExit as exc:
+            return exc.code, err.getvalue().splitlines()[-1]
 
 
 class TestFlagParsing:
@@ -907,10 +918,31 @@ class TestFlagParsing:
     @given(command=st.sampled_from(list(COMMANDS)), data=st.data())
     def test_table_pass_matches_argparse(self, command, data):
         # Whenever the table pass reads an argv, argparse reads it without an error into the same Namespace;
-        # repr compares a nan value as equal to itself.
-        flag, value = st.sampled_from(value_flags(command) + OTHER_TOKENS), st.sampled_from(VALUE_TOKENS)
+        # repr compares a nan value as equal to itself. Values include negative numbers in exponent form, which
+        # the table pass leaves to argparse: argparse reads each `--name value` pair of them as `--name=value`.
+        flag = st.sampled_from(value_flags(command) + OTHER_TOKENS)
+        value = st.sampled_from(VALUE_TOKENS) | NEGATIVE_EXPONENT_FORMS
         pairs = st.lists(st.tuples(flag, value), max_size=6).map(lambda pairs: [arg for pair in pairs for arg in pair])
         argv = [command, *data.draw(pairs | st.lists(flag | value, max_size=12), label="tokens")]
         fast = _parse_flags(argv)
         if fast is not None:
             assert repr(sorted(vars(fast).items())) == repr(sorted(vars(build_parser().parse_args(argv)).items()))
+        named = data.draw(st.lists(st.tuples(st.sampled_from(value_flags(command)), value), max_size=6), label="pairs")
+        spaced = [command, *(arg for pair in named for arg in pair)]
+        assert parsed_by_argparse(spaced) == parsed_by_argparse([command, *(f"{f}={v}" for f, v in named)])
+
+    @pytest.mark.parametrize("spaced, joined, code, out, err", [
+        (["simulate-ode", "--f0", "0.5", "--v0", "-1e-10", "--w0", "0.5", "--t-final", "1"],
+         ["simulate-ode", "--f0", "0.5", "--v0=-1e-10", "--w0", "0.5", "--t-final", "1"], 0,
+         "100 steps, negativity=true\n", ""),
+        (["stability", "--alpha", "-1e-3"], ["stability", "--alpha=-1e-3"], 2,
+         "", "error: rate 'alpha' must be a positive finite real, got -0.001\n"),
+    ], ids=["simulate-ode", "stability"])
+    def test_negative_value_in_exponent_form(self, tmp_path, capsys, spaced, joined, code, out, err):
+        # argparse's own negative-number pattern has no exponent: `--name -1e-10` must be read as `--name=-1e-10`.
+        for argv, path in ((spaced, tmp_path / "spaced.csv"), (joined, tmp_path / "joined.csv")):
+            assert main([*argv, "--output", str(path)]) == code
+            assert capsys.readouterr() == (out, err)
+            assert path.exists() == (code == 0)
+        if code == 0:
+            assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvw import (
@@ -185,6 +185,13 @@ class TestSolveCubic:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SIGN = st.sampled_from([-1.0, 1.0])
+# Coefficients inside the bounds where solve_cubic's scaling exponent is 0, signed zeros included for a1 and a0.
+IN_RANGE_ROW = st.tuples(
+    st.builds(float.__mul__, SIGN, st.floats(2.0**-161, 2.0**160, exclude_max=True)),
+    st.floats(-(2.0**320), 2.0**320, exclude_min=True, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+    st.floats(-(2.0**480), 2.0**480, exclude_min=True, exclude_max=True) | st.sampled_from([0.0, -0.0]),
+)
 
 
 class TestArrayKernel:
@@ -264,6 +271,31 @@ class TestArrayKernel:
         assert {abs(max(-(-math.frexp(a)[1] // j) for j, a in enumerate(row, 1))) > 160 for row in rows} == {past}
         for part in (rows[:100], rows[100:200], rows, [*rows, (-6.0, 11.0, -6.0)]):  # the last beside an unscaled row
             self.assert_rows_match(part)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("k, bound", [(1, 2.0**160), (2, 2.0**320), (3, 2.0**480), (1, 2.0**-161)],
+                             ids=["a2-upper", "a1-upper", "a0-upper", "a2-lower"])
+    def test_in_range_rule_at_its_bounds(self, monkeypatch, k, bound, inside):
+        # The array skips the scaling pass exactly when every row lies within the bounds 2^-161 <= |a2| < 2^160,
+        # |a1| < 2^320, |a0| < 2^480, where solve_cubic's exponent is 0. One row just inside or just outside a
+        # bound, beside in-range rows, decides the path; past the bound solve_cubic scales that row itself.
+        lower = bound < 1.0
+        edge = bound if inside == lower else math.nextafter(bound, 0.0)
+        row = [0.0, 2.0**-330, -(2.0**-490)] if lower else [1.5, -3.0, 2.0]
+        rows = [(-6.0, 11.0, -6.0), (1.0, 1.0, 1.0), (3.0, 3.0, 1.0), (-0.5, 0.0, -0.0)]
+        for sign in (1.0, -1.0):
+            row[k - 1] = sign * edge
+            assert (abs(max(-(-math.frexp(a)[1] // j) for j, a in enumerate(row, 1) if a != 0.0)) > 160) != inside
+            rows.insert(2, tuple(row))
+        frexp, scaled = np.frexp, []
+        monkeypatch.setattr(np, "frexp", lambda x: scaled.append(x) or frexp(x))  # only the scaling pass calls it
+        self.assert_rows_match(rows)
+        assert bool(scaled) != inside
+
+    @settings(max_examples=100)
+    @given(rows=st.lists(IN_RANGE_ROW, min_size=1, max_size=300))
+    def test_in_range_arrays(self, rows):
+        self.assert_rows_match(rows)
 
     def test_many_rows_across_the_float_range(self):
         # 50,000 seeded rows in one call: magnitudes log-uniform in [1e-300, 1e300], random signs, one in ten zero.
